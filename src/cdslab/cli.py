@@ -63,8 +63,7 @@ def _matrix_lines(m: f2.F2Matrix) -> list[str]:
 # permutation commands
 
 
-def _cmd_perm_check(args: argparse.Namespace, threads: int) -> int:
-    del threads
+def _cmd_perm_check(args: argparse.Namespace) -> int:
     pi = formats.parse_permutation(_read_text(args.data))
     pile = perms.strategic_pile(pi)
     text = "SORTABLE" if pile.is_empty else f"UNSORTABLE SP={_pile_text(pile)}"
@@ -81,8 +80,7 @@ def _cmd_perm_check(args: argparse.Namespace, threads: int) -> int:
     return 0
 
 
-def _cmd_perm_sort(args: argparse.Namespace, threads: int) -> int:
-    del threads
+def _cmd_perm_sort(args: argparse.Namespace) -> int:
     pi = formats.parse_permutation(_read_text(args.data))
     moves = perms.sort_moves(pi)
     if moves is None:
@@ -120,8 +118,7 @@ def _cmd_perm_sort(args: argparse.Namespace, threads: int) -> int:
     return 0
 
 
-def _cmd_perm_cycles(args: argparse.Namespace, threads: int) -> int:
-    del threads
+def _cmd_perm_cycles(args: argparse.Namespace) -> int:
     pi = formats.parse_permutation(_read_text(args.data))
     note = perms.cycle_notation(pi)
     text = "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in note.cycles)
@@ -138,8 +135,7 @@ def _cmd_perm_cycles(args: argparse.Namespace, threads: int) -> int:
     return 0
 
 
-def _cmd_perm_pile(args: argparse.Namespace, threads: int) -> int:
-    del threads
+def _cmd_perm_pile(args: argparse.Namespace) -> int:
     pi = formats.parse_permutation(_read_text(args.data))
     pile = perms.strategic_pile(pi)
     _emit(
@@ -168,8 +164,7 @@ def _graph_payload(command: str, g: graphs.RootedGraph) -> dict[str, object]:
     }
 
 
-def _cmd_graph_check(args: argparse.Namespace, threads: int) -> int:
-    del threads
+def _cmd_graph_check(args: argparse.Namespace) -> int:
     g = formats.parse_graph(_read_text(args.data))
     sortable = graphs.is_gcds_sortable(g)
     dist = f2.mcds_distance(g.adjacency)
@@ -189,8 +184,7 @@ def _cmd_graph_check(args: argparse.Namespace, threads: int) -> int:
     return 0
 
 
-def _cmd_graph_gcds(args: argparse.Namespace, threads: int) -> int:
-    del threads
+def _cmd_graph_gcds(args: argparse.Namespace) -> int:
     g = formats.parse_graph(_read_text(args.data))
     if args.p < 1 or args.q < 1:
         raise InvalidMoveError("vertices are numbered from 1")
@@ -204,8 +198,7 @@ def _cmd_graph_gcds(args: argparse.Namespace, threads: int) -> int:
     return 0
 
 
-def _cmd_graph_cuts(args: argparse.Namespace, threads: int) -> int:
-    del threads
+def _cmd_graph_cuts(args: argparse.Namespace) -> int:
     g = formats.parse_graph(_read_text(args.data))
     cuts = graphs.generalized_parity_cuts(g)
     lines = [f"{len(cuts)} cuts"]
@@ -222,8 +215,7 @@ def _cmd_graph_cuts(args: argparse.Namespace, threads: int) -> int:
     return 0
 
 
-def _cmd_graph_props(args: argparse.Namespace, threads: int) -> int:
-    del threads
+def _cmd_graph_props(args: argparse.Namespace) -> int:
     g = formats.parse_graph(_read_text(args.data))
     flags = {
         "eulerian": graphs.is_eulerian(g),
@@ -240,8 +232,7 @@ def _cmd_graph_props(args: argparse.Namespace, threads: int) -> int:
 # matrix commands
 
 
-def _cmd_matrix_mcds(args: argparse.Namespace, threads: int) -> int:
-    del threads
+def _cmd_matrix_mcds(args: argparse.Namespace) -> int:
     m = formats.parse_matrix(_read_text(args.data))
     if args.p < 1 or args.q < 1:
         raise InvalidMoveError("indices are numbered from 1")
@@ -259,8 +250,7 @@ def _cmd_matrix_mcds(args: argparse.Namespace, threads: int) -> int:
     return 0
 
 
-def _cmd_matrix_rank(args: argparse.Namespace, threads: int) -> int:
-    del threads
+def _cmd_matrix_rank(args: argparse.Namespace) -> int:
     m = formats.parse_matrix(_read_text(args.data))
     r = f2.rank(m)
     _emit(
@@ -271,8 +261,7 @@ def _cmd_matrix_rank(args: argparse.Namespace, threads: int) -> int:
     return 0
 
 
-def _cmd_matrix_kernel(args: argparse.Namespace, threads: int) -> int:
-    del threads
+def _cmd_matrix_kernel(args: argparse.Namespace) -> int:
     m = formats.parse_matrix(_read_text(args.data))
     basis = f2.kernel_basis(m)
     strings = [
@@ -292,8 +281,7 @@ def _cmd_matrix_kernel(args: argparse.Namespace, threads: int) -> int:
 # conversion, realization, counting
 
 
-def _cmd_convert(args: argparse.Namespace, threads: int) -> int:
-    del threads
+def _cmd_convert(args: argparse.Namespace) -> int:
     m = formats.parse_matrix(_read_text(args.data))
     if args.convert_command == "adj2prec":
         out = convert.adjacency_to_precedence(m)
@@ -310,8 +298,7 @@ def _cmd_convert(args: argparse.Namespace, threads: int) -> int:
     return 0
 
 
-def _cmd_realize(args: argparse.Namespace, threads: int) -> int:
-    del threads
+def _cmd_realize(args: argparse.Namespace) -> int:
     m = formats.parse_matrix(_read_text(args.data))
     witness = convert.realize_move_graph(m)
     if witness is None:
@@ -333,10 +320,10 @@ def _cmd_realize(args: argparse.Namespace, threads: int) -> int:
     return 0
 
 
-def _cmd_count(args: argparse.Namespace, threads: int) -> int:
+def _cmd_count(args: argparse.Namespace) -> int:
     if args.method == "brute_force":
         raw = oracle.census_bruteforce(
-            args.n, eulerian=args.eulerian, threads=threads
+            args.n, eulerian=args.eulerian, threads=args.threads
         )
         rep = counting.CountReport.build(args.n, "brute_force", args.eulerian, raw)
     elif args.method == "rank_sum":
@@ -394,10 +381,10 @@ def _render_table(rows: list[dict[str, object]]) -> str:
     return "\n".join(lines)
 
 
-def _cmd_table(args: argparse.Namespace, threads: int) -> int:
+def _cmd_table(args: argparse.Namespace) -> int:
     if args.max_n < 3:
         raise ContractError(f"the table starts at n=3, got max-n {args.max_n}")
-    rows = _table_rows(args.max_n, args.brute_force, threads)
+    rows = _table_rows(args.max_n, args.brute_force, args.threads)
     _emit(
         args,
         _render_table(rows),
@@ -406,8 +393,10 @@ def _cmd_table(args: argparse.Namespace, threads: int) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, threads: int) -> int:
-    report = verify.run_suite(args.suite, max_n=args.max_n, threads=threads)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    report = verify.run_suite(
+        args.suite, max_n=args.max_n, threads=args.threads
+    )
     if args.json:
         print(json.dumps({"command": "verify", **report.to_json()}, indent=2))
     else:
@@ -564,9 +553,9 @@ def run(argv: "list[str] | None" = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    threads = args.threads if args.threads else _env_threads()
+    args.threads = max(1, args.threads or _env_threads())
     try:
-        return args.func(args, max(1, threads))
+        return args.func(args)
     except CdsLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -104,22 +104,28 @@ def precedence_to_adjacency(p: f2.F2Matrix) -> f2.F2Matrix:
     return window_xor(p) + bidiagonal_ones(p.nrows - 1)
 
 
-def is_precedence_matrix(c: f2.F2Matrix) -> bool:
-    """Membership test for precedence matrices of total orders: zero
-    diagonal, exactly one of (i,j)/(j,i) set for i != j, and the INTEGER row
-    sums a permutation of 0..n-1."""
+def _total_order(c: f2.F2Matrix) -> list[int] | None:
+    """The total order whose precedence matrix is c, earliest first, or None.
+
+    Rows sorted by falling weight give the only candidate order; c is its
+    precedence matrix iff every row is the mask of the rows after it.
+    """
     if not c.is_square:
-        return False
-    n = c.nrows
-    if not c.is_zero_diagonal():
-        return False
-    t = c.transpose()
-    full = (1 << n) - 1
-    for i in range(n):
-        if c.rows[i] ^ t.rows[i] != full ^ (1 << i):
-            return False
-    sums = sorted(r.bit_count() for r in c.rows)
-    return sums == list(range(n))
+        return None
+    order = sorted(range(c.nrows), key=lambda r: -c.rows[r].bit_count())
+    after = 0
+    for r in reversed(order):
+        if c.rows[r] != after:
+            return None
+        after |= 1 << r
+    return order
+
+
+def is_precedence_matrix(c: f2.F2Matrix) -> bool:
+    """Membership test for precedence matrices of total orders (equivalently:
+    zero diagonal, exactly one of (i,j)/(j,i) set for i != j, and the
+    INTEGER row sums a permutation of 0..n-1)."""
+    return _total_order(c) is not None
 
 
 def permutation_from_precedence(p: f2.F2Matrix) -> perms.Permutation:
@@ -128,12 +134,12 @@ def permutation_from_precedence(p: f2.F2Matrix) -> perms.Permutation:
     Row r holds value r; larger integer row sum means earlier position. The
     framed order must start at 0 and end at n+1.
     """
-    if not is_precedence_matrix(p):
+    order = _total_order(p)
+    if order is None:
         raise ContractError("not a precedence matrix of a total order")
     m = p.nrows
     if m < 2:
         raise ContractError("framed precedence matrix needs size >= 2")
-    order = sorted(range(m), key=lambda r: -p.rows[r].bit_count())
     if order[0] != 0 or order[-1] != m - 1:
         raise ContractError("order does not frame 0 first and n+1 last")
     return perms.Permutation(order[1:-1])
@@ -187,11 +193,8 @@ def realize_move_graph(m: f2.F2Matrix) -> perms.Permutation | None:
     if not m.is_symmetric() or not m.is_zero_diagonal():
         raise ContractError("move graph must be symmetric with a zero diagonal")
     for _, cand in _realize_candidates(m):
-        prec = adjacency_to_precedence(cand)
-        if not is_precedence_matrix(prec):
-            continue
         try:
-            pi = permutation_from_precedence(prec)
+            pi = permutation_from_precedence(adjacency_to_precedence(cand))
         except ContractError:
             continue
         if perms.move_graph(pi) == m:

@@ -19,7 +19,6 @@ __all__ = [
     "mcds",
     "is_mcds_sortable",
     "mcds_distance",
-    "ones_complement",
 ]
 
 BitsLike = Union["F2Vector", Sequence[int]]
@@ -432,7 +431,3 @@ def mcds_distance(m: F2Matrix) -> int:
         )
     return r // 2
 
-
-def ones_complement(v: F2Vector) -> F2Vector:
-    """Flip every coordinate."""
-    return v.complement()

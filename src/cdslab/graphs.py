@@ -16,7 +16,6 @@ __all__ = [
     "ParityCut",
     "PARITY_CUT_FLAVORS",
     "gcds",
-    "gcds_reading_disagreement",
     "context_pairs",
     "is_eulerian",
     "is_gcds_sortable",
@@ -155,56 +154,30 @@ def gcds(g: RootedGraph, p: int, q: int) -> RootedGraph:
     The new edge rule, evaluated mod 2 over the old graph: u ~ v afterwards
     iff  adj(p,u)*adj(q,v) + adj(q,u)*adj(p,v) + adj(u,v)  is odd. The rule
     isolates p and q and complements edges between the p-side and q-side
-    neighborhoods.
+    neighborhoods. It is the matrix swap A + AEA of f2.mcds.
     """
     _check_non_root_pair(g, p, q)
-    n = g.n
-    rows = g.adjacency.rows
-    rp, rq = rows[p], rows[q]
-    new = [0] * n
-    for u in range(n):
-        ru = rows[u]
-        pu = (rp >> u) & 1
-        qu = (rq >> u) & 1
-        for v in range(u + 1, n):
-            s = pu * ((rq >> v) & 1) + qu * ((rp >> v) & 1) + ((ru >> v) & 1)
-            if s & 1:
-                new[u] |= 1 << v
-                new[v] |= 1 << u
-    return RootedGraph(f2.F2Matrix.from_row_bits(new, n))
+    return RootedGraph(f2.mcds(g.adjacency, p, q))
 
 
-def gcds_reading_disagreement(
-    g: RootedGraph, p: int, q: int
-) -> list[tuple[int, int]]:
-    """Vertex pairs where the literal '= 1' reading of the swap rule and the
-    mod-2 reading disagree: exactly the pairs whose integer sum equals 3."""
-    _check_non_root_pair(g, p, q)
-    n = g.n
-    rows = g.adjacency.rows
-    rp, rq = rows[p], rows[q]
+def _context_pairs(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """Adjacent non-root pairs (p, q), p < q, of symmetric bit rows, in
+    lexicographic order. Shared with perms.cds_contexts."""
+    n = len(rows)
+    inner = (1 << (n - 1)) - 1  # columns below the last root
     out = []
-    for u in range(n):
-        ru = rows[u]
-        pu = (rp >> u) & 1
-        qu = (rq >> u) & 1
-        for v in range(u + 1, n):
-            s = pu * ((rq >> v) & 1) + qu * ((rp >> v) & 1) + ((ru >> v) & 1)
-            if s == 3:
-                out.append((u, v))
+    for p in range(1, n - 1):
+        r = rows[p] & inner & ~((2 << p) - 1)  # columns q > p
+        while r:
+            low = r & -r
+            out.append((p, low.bit_length() - 1))
+            r ^= low
     return out
 
 
 def context_pairs(g: RootedGraph) -> list[tuple[int, int]]:
     """All usable contexts: adjacent non-root vertex pairs (p, q), p < q."""
-    n = g.n
-    out = []
-    for p in range(1, n - 1):
-        r = g.adjacency.rows[p]
-        for q in range(p + 1, n - 1):
-            if (r >> q) & 1:
-                out.append((p, q))
-    return out
+    return _context_pairs(g.adjacency.rows)
 
 
 def is_eulerian(g: RootedGraph) -> bool:

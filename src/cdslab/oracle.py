@@ -16,6 +16,7 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import ContractError, InternalInvariantError, SizeLimitError
 from .f2 import F2Matrix
@@ -24,6 +25,8 @@ from .perms import Permutation
 
 __all__ = [
     "SearchStats",
+    "cds_move",
+    "gcds_move",
     "cds_sortable_bruteforce",
     "cds_sortable_search",
     "gcds_sortable_bruteforce",
@@ -86,16 +89,26 @@ def _swap_blocks(framed: tuple[int, ...], occ_p, occ_q) -> tuple[int, ...]:
     )
 
 
+def cds_move(values: Sequence[int], p: int, q: int) -> tuple[int, ...] | None:
+    """The swap on pointers p and q of a one-line permutation, from the
+    definition: when their occurrences interleave as p..q..p..q, the block
+    between the first two and the block between the last two trade places.
+    None when the occurrences do not interleave."""
+    framed = (0, *values, len(values) + 1)
+    occ = _occurrences(framed)
+    if not _interleaved(occ[p], occ[q]):
+        return None
+    return _swap_blocks(framed, occ[p], occ[q])[1:-1]
+
+
 def _perm_children(state: tuple[int, ...]) -> list[tuple[int, ...]]:
     n = len(state)
-    framed = (0, *state, n + 1)
-    occ = _occurrences(framed)
     children = []
     for p in range(1, n):
         for q in range(p + 1, n):
-            if _interleaved(occ[p], occ[q]):
-                new = _swap_blocks(framed, occ[p], occ[q])
-                children.append(new[1:-1])
+            child = cds_move(state, p, q)
+            if child is not None:
+                children.append(child)
     return children
 
 
@@ -162,7 +175,11 @@ def _graph_contexts(rows: tuple[int, ...]) -> list[tuple[int, int]]:
     ]
 
 
-def _apply_gcds(rows: tuple[int, ...], p: int, q: int) -> tuple[int, ...]:
+def gcds_move(rows: Sequence[int], p: int, q: int) -> tuple[int, ...]:
+    """The graph swap on adjacent non-root vertices p and q, entry by entry
+    from the edge rule: u ~ v afterwards (u, v outside {p, q}) iff
+    adj(p,u)*adj(q,v) + adj(q,u)*adj(p,v) + adj(u,v) is odd; p and q end
+    isolated. Rows are bit masks; the caller supplies a valid context."""
     n = len(rows)
     fp, fq = rows[p], rows[q]
     out = []
@@ -198,7 +215,7 @@ def _gcds_sortable(rows: tuple[int, ...], path: set[tuple[int, ...]]) -> bool:
     else:
         path.add(rows)
         result = any(
-            _gcds_sortable(_apply_gcds(rows, p, q), path)
+            _gcds_sortable(gcds_move(rows, p, q), path)
             for p, q in _graph_contexts(rows)
         )
         path.remove(rows)
@@ -225,7 +242,7 @@ def gcds_sortable_search(g: RootedGraph) -> SearchStats:
         nxt = []
         for rows in frontier:
             for p, q in _graph_contexts(rows):
-                child = _apply_gcds(rows, p, q)
+                child = gcds_move(rows, p, q)
                 if child not in seen:
                     seen.add(child)
                     nxt.append(child)
@@ -251,7 +268,7 @@ def _profile(rows: tuple[int, ...], path: set) -> frozenset[tuple[int, bool]]:
         path.add(rows)
         acc = set()
         for p, q in contexts:
-            for length, edgeless in _profile(_apply_gcds(rows, p, q), path):
+            for length, edgeless in _profile(gcds_move(rows, p, q), path):
                 acc.add((length + 1, edgeless))
         path.remove(rows)
         result = frozenset(acc)

@@ -12,7 +12,9 @@ overlap iff their occurrence slots strictly alternate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate
+from operator import xor
+from typing import Iterable, Iterator
 
 from . import f2, graphs
 from .errors import ContractError, InvalidMoveError
@@ -20,14 +22,11 @@ from .errors import ContractError, InvalidMoveError
 __all__ = [
     "Permutation",
     "CycleNotation",
-    "CycleGraph",
     "StrategicPile",
-    "block_interchange",
     "pointer_slots",
     "cds_contexts",
     "apply_cds",
     "cycle_notation",
-    "cycle_graph",
     "strategic_pile",
     "is_cds_sortable",
     "overlap_graph",
@@ -99,25 +98,6 @@ class Permutation:
         return f"Permutation({list(self.elements)})"
 
 
-def block_interchange(
-    pi: Permutation, first: tuple[int, int], second: tuple[int, int]
-) -> Permutation:
-    """Swap two non-overlapping blocks given as 1-based inclusive position
-    ranges, the first block strictly left of the second."""
-    i, j = first
-    k, l = second
-    n = pi.n
-    if not (1 <= i <= j <= n and 1 <= k <= l <= n):
-        raise ContractError(f"block bounds out of range: {first}, {second}")
-    if not j < k:
-        raise ContractError(
-            f"blocks must be disjoint and ordered, got {first} before {second}"
-        )
-    a = pi.elements
-    out = a[: i - 1] + a[k - 1 : l] + a[j : k - 1] + a[i - 1 : j] + a[l:]
-    return Permutation(out)
-
-
 def pointer_slots(pi: Permutation) -> tuple[tuple[int, int], ...]:
     """Occurrence slots (lo, hi) of each pointer 0..n, per the gap scheme."""
     pos = pi.positions()
@@ -133,16 +113,24 @@ def _alternate(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] < b[0] < a[1] < b[1] or b[0] < a[0] < b[1] < a[1]
 
 
+def _overlap_rows(pi: Permutation) -> list[int]:
+    """Bit rows of the overlap graph on the n+1 pointers.
+
+    With prefix[s] the XOR of the pointers at slots before s, row a is
+    prefix[hi_a] ^ prefix[lo_a + 1]: the pointers with exactly one slot
+    strictly between a's two slots, which are those alternating with a.
+    """
+    slots = pointer_slots(pi)
+    at_slot = [0] * (2 * len(slots))
+    for a, (lo, hi) in enumerate(slots):
+        at_slot[lo] = at_slot[hi] = 1 << a
+    prefix = list(accumulate(at_slot, xor, initial=0))
+    return [prefix[hi] ^ prefix[lo + 1] for lo, hi in slots]
+
+
 def cds_contexts(pi: Permutation) -> list[tuple[int, int]]:
     """Usable contexts: non-root pointer pairs (p, q), p < q, that alternate."""
-    slots = pointer_slots(pi)
-    n = pi.n
-    return [
-        (p, q)
-        for p in range(1, n - 1)
-        for q in range(p + 1, n)
-        if _alternate(slots[p], slots[q])
-    ]
+    return graphs._context_pairs(_overlap_rows(pi))
 
 
 def apply_cds(pi: Permutation, p: int, q: int) -> Permutation:
@@ -212,24 +200,6 @@ def cycle_notation(pi: Permutation) -> CycleNotation:
 
 
 @dataclass(frozen=True)
-class CycleGraph:
-    """Vertices 0..n+1 with undirected consecutive-value edges and the
-    directed chain n+1 -> a_n -> ... -> a_1 -> 0."""
-
-    n: int
-    value_edges: tuple[tuple[int, int], ...]
-    chain_edges: tuple[tuple[int, int], ...]
-
-
-def cycle_graph(pi: Permutation) -> CycleGraph:
-    n = pi.n
-    value_edges = tuple((i, i + 1) for i in range(n + 1))
-    seq = (n + 1,) + tuple(reversed(pi.elements)) + (0,)
-    chain_edges = tuple((seq[i], seq[i + 1]) for i in range(n + 1))
-    return CycleGraph(n=n, value_edges=value_edges, chain_edges=chain_edges)
-
-
-@dataclass(frozen=True)
 class StrategicPile:
     """Elements trapped between n and 0 in the cycle of the composed map."""
 
@@ -278,15 +248,9 @@ def overlap_graph(pi: Permutation) -> graphs.RootedGraph:
     """Pointer-overlap graph: vertices are the n+1 pointers, the roots are
     pointers 0 and n, and two pointers are adjacent iff their occurrence
     slots strictly alternate."""
-    slots = pointer_slots(pi)
-    m = pi.n + 1
-    rows = [0] * m
-    for a in range(m):
-        for b in range(a + 1, m):
-            if _alternate(slots[a], slots[b]):
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-    return graphs.RootedGraph(f2.F2Matrix.from_row_bits(rows, m))
+    return graphs.RootedGraph(
+        f2.F2Matrix.from_row_bits(_overlap_rows(pi), pi.n + 1)
+    )
 
 
 def move_graph(pi: Permutation) -> f2.F2Matrix:
@@ -294,7 +258,8 @@ def move_graph(pi: Permutation) -> f2.F2Matrix:
     overlap adjacency, an (n-1) x (n-1) matrix (vertex i is pointer i+1)."""
     if pi.n < 2:
         raise ContractError("move graph needs n >= 2")
-    return f2.central_submatrix(overlap_graph(pi).adjacency, "both")
+    overlap = f2.F2Matrix.from_row_bits(_overlap_rows(pi), pi.n + 1)
+    return f2.central_submatrix(overlap, "both")
 
 
 def alternating_cycles(pi: Permutation) -> tuple[tuple[int, ...], ...]:
@@ -320,17 +285,13 @@ def alternating_cycle_vectors(pi: Permutation) -> list[f2.F2Vector]:
 def precedence_matrix(pi: Permutation) -> f2.F2Matrix:
     """(n+2) x (n+2) matrix over the framed values: entry (r, c) is 1 iff
     value r appears before value c in the framed permutation."""
-    pos = pi.positions()
-    m = pi.n + 2
-    rows = []
-    for r in range(m):
-        bits = 0
-        pr = pos[r]
-        for c in range(m):
-            if pr < pos[c]:
-                bits |= 1 << c
-        rows.append(bits)
-    return f2.F2Matrix.from_row_bits(rows, m)
+    framed = pi.framed()
+    rows = [0] * len(framed)
+    after = 0
+    for v in reversed(framed):
+        rows[v] = after
+        after |= 1 << v
+    return f2.F2Matrix.from_row_bits(rows, len(framed))
 
 
 def sort_moves(pi: Permutation) -> list[tuple[int, int]] | None:

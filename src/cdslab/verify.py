@@ -204,8 +204,7 @@ def _random_symmetric_rows(
 # suites
 
 
-def _suite_table(max_n: int, threads: int) -> list[CheckLine]:
-    del threads
+def _suite_table(max_n: int) -> list[CheckLine]:
     out = []
     for n in range(3, min(max_n, 10) + 1):
         row = _TABLE[n]
@@ -326,8 +325,7 @@ def _suite_eulerian(max_n: int, threads: int) -> list[CheckLine]:
     return out
 
 
-def _suite_sortability(max_n: int, threads: int) -> list[CheckLine]:
-    del threads
+def _suite_sortability(max_n: int) -> list[CheckLine]:
     out = []
     for n in range(1, min(max_n, oracle.SEARCH_LIMIT) + 1):
         sortable = 0
@@ -357,8 +355,7 @@ def _suite_sortability(max_n: int, threads: int) -> list[CheckLine]:
     return out
 
 
-def _suite_commuting(max_n: int, threads: int) -> list[CheckLine]:
-    del threads
+def _suite_commuting(max_n: int) -> list[CheckLine]:
     out = []
     for n in range(2, min(max_n, 7) + 1):
         moves = 0
@@ -374,7 +371,8 @@ def _suite_commuting(max_n: int, threads: int) -> list[CheckLine]:
                 moved = graphs.gcds(og, p, q)
                 if perms.overlap_graph(sigma).adjacency != moved.adjacency:
                     bad += 1
-                if f2.mcds(og.adjacency, p, q) != moved.adjacency:
+                rule = oracle.gcds_move(og.adjacency.rows, p, q)
+                if rule != moved.adjacency.rows:
                     bad += 1
                 moves += 1
             if n <= 5:
@@ -404,12 +402,13 @@ def _suite_commuting(max_n: int, threads: int) -> list[CheckLine]:
         for rows in _all_graph_rows(n):
             g = _graph(rows)
             for p, q in graphs.context_pairs(g):
-                if graphs.gcds(g, p, q).adjacency != f2.mcds(g.adjacency, p, q):
+                moved = graphs.gcds(g, p, q).adjacency.rows
+                if moved != oracle.gcds_move(rows, p, q):
                     bad += 1
                 moves += 1
         out.append(
             CheckLine(
-                f"graph swap equals matrix swap n={n}",
+                f"graph swap equals the oracle edge rule n={n}",
                 bad == 0,
                 f"{moves} moves checked",
             )
@@ -417,8 +416,7 @@ def _suite_commuting(max_n: int, threads: int) -> list[CheckLine]:
     return out
 
 
-def _suite_distance(max_n: int, threads: int) -> list[CheckLine]:
-    del threads
+def _suite_distance(max_n: int) -> list[CheckLine]:
     out = []
     gn = min(max_n, 6)
     for n in range(2, gn + 1):
@@ -456,8 +454,7 @@ def _suite_distance(max_n: int, threads: int) -> list[CheckLine]:
     return out
 
 
-def _suite_conversion(max_n: int, threads: int) -> list[CheckLine]:
-    del threads
+def _suite_conversion(max_n: int) -> list[CheckLine]:
     out = []
     for n in range(1, min(max_n, 8) + 1):
         bad = 0
@@ -497,8 +494,7 @@ def _suite_conversion(max_n: int, threads: int) -> list[CheckLine]:
     return out
 
 
-def _suite_realize(max_n: int, threads: int) -> list[CheckLine]:
-    del threads
+def _suite_realize(max_n: int) -> list[CheckLine]:
     out = []
     top = min(max_n, oracle.REALIZE_LIMIT - 1)
     for k in range(1, top + 1):
@@ -542,8 +538,7 @@ def _suite_realize(max_n: int, threads: int) -> list[CheckLine]:
     return out
 
 
-def _suite_kernel(max_n: int, threads: int) -> list[CheckLine]:
-    del threads
+def _suite_kernel(max_n: int) -> list[CheckLine]:
     out = []
     gn = min(max_n, 6)
     pn = min(max_n, 8)
@@ -748,8 +743,7 @@ def _suite_kernel(max_n: int, threads: int) -> list[CheckLine]:
     return out
 
 
-def _suite_macwilliams(max_n: int, threads: int) -> list[CheckLine]:
-    del threads
+def _suite_macwilliams(max_n: int) -> list[CheckLine]:
     out = []
     for t in range(0, min(max_n, oracle.N0_LIMIT) + 1):
         bad = 0
@@ -791,12 +785,11 @@ def _decomposes(adj: f2.F2Matrix) -> bool:
     if counting.block_construct(center, u1, u2) != adj:
         return False
     if adj.is_eulerian_rows():
-        return counting.block_construct(center, u1, f2.ones_complement(u1)) == adj
+        return counting.block_construct(center, u1, u1.complement()) == adj
     return True
 
 
-def _suite_blocks(max_n: int, threads: int) -> list[CheckLine]:
-    del threads
+def _suite_blocks(max_n: int) -> list[CheckLine]:
     out = []
     gn = min(max_n, 6)
 
@@ -862,7 +855,7 @@ def _suite_blocks(max_n: int, threads: int) -> list[CheckLine]:
             solvable += 1
             for k in _span_masks(v.bits for v in f2.kernel_basis(cc)):
                 u = f2.F2Vector.from_bits(u0.bits ^ k, n - 2)
-                if cc.mat_vec(f2.ones_complement(u)) != last:
+                if cc.mat_vec(u.complement()) != last:
                     bad += 1
     out.append(
         CheckLine(
@@ -954,8 +947,7 @@ def _suite_blocks(max_n: int, threads: int) -> list[CheckLine]:
     return out
 
 
-def _suite_convergence(max_n: int, threads: int) -> list[CheckLine]:
-    del threads
+def _suite_convergence(max_n: int) -> list[CheckLine]:
     rep = counting.convergence_report(max(10, max_n))
     details = {
         "x100_above_one_fifth": f"x_100 = {float(rep.x100):.12f}",
@@ -968,152 +960,119 @@ def _suite_convergence(max_n: int, threads: int) -> list[CheckLine]:
     ]
 
 
-def _suite_random(max_n: int, threads: int) -> list[CheckLine]:
-    del threads
+_RANDOM_CASES = 2500
+
+
+def _random_family(
+    name: str,
+    top: int,
+    draw: Callable[[], "tuple | None"],
+    check: Callable[..., bool],
+) -> CheckLine:
+    """Check _RANDOM_CASES drawn cases (draw returns None to skip a draw).
+
+    A check that raises counts as a failure; the first exception's type and
+    message go into the detail.
+    """
+    bad = done = attempts = 0
+    error = ""
+    while done < _RANDOM_CASES and attempts < _RANDOM_CASES * 40:
+        attempts += 1
+        case = draw()
+        if case is None:
+            continue
+        try:
+            ok = check(*case)
+        except Exception as exc:
+            ok = False
+            error = error or f"; first error {type(exc).__name__}: {exc}"
+        bad += not ok
+        done += 1
+    return CheckLine(
+        name,
+        bad == 0 and done == _RANDOM_CASES,
+        f"{done} moves at sizes <= {top}{error}",
+    )
+
+
+def _suite_random(max_n: int) -> list[CheckLine]:
     top = max(3, min(max_n, 16))
     rng = random.Random(20260819)
-    per_family = 2500
-    limit = per_family * 40
-    out = []
 
-    def random_perm_with_context() -> (
-        tuple[perms.Permutation, list[tuple[int, int]]] | None
-    ):
+    def perm_move() -> tuple[perms.Permutation, int, int] | None:
         n = rng.randint(2, top)
         values = list(range(1, n + 1))
         rng.shuffle(values)
         pi = perms.Permutation(values)
         ctx = perms.cds_contexts(pi)
-        return (pi, ctx) if ctx else None
+        return (pi, *rng.choice(ctx)) if ctx else None
 
-    bad = 0
-    done = 0
-    attempts = 0
-    while done < per_family and attempts < limit:
-        attempts += 1
-        drawn = random_perm_with_context()
-        if drawn is None:
-            continue
-        pi, ctx = drawn
-        p, q = rng.choice(ctx)
-        try:
-            sigma = perms.apply_cds(pi, p, q)
-            ok = sorted(sigma.elements) == list(range(1, pi.n + 1))
-        except Exception:
-            ok = False
-        bad += not ok
-        done += 1
-    out.append(
-        CheckLine(
-            "random swaps keep permutations",
-            bad == 0 and done == per_family,
-            f"{done} moves at sizes <= {top}",
-        )
-    )
+    def keeps_permutation(pi: perms.Permutation, p: int, q: int) -> bool:
+        sigma = perms.apply_cds(pi, p, q)
+        return sorted(sigma.elements) == list(range(1, pi.n + 1))
 
-    bad = 0
-    done = 0
-    attempts = 0
-    while done < per_family and attempts < limit:
-        attempts += 1
-        drawn = random_perm_with_context()
-        if drawn is None:
-            continue
-        pi, ctx = drawn
-        p, q = rng.choice(ctx)
-        framed = pi.framed()
-        occ = oracle._occurrences(framed)
-        if not oracle._interleaved(occ[p], occ[q]):
-            bad += 1
-        else:
-            swapped = oracle._swap_blocks(framed, occ[p], occ[q])
-            if swapped[1:-1] != perms.apply_cds(pi, p, q).elements:
-                bad += 1
-        done += 1
-    out.append(
-        CheckLine(
-            "random swaps match the oracle",
-            bad == 0 and done == per_family,
-            f"{done} moves at sizes <= {top}",
-        )
-    )
+    def matches_oracle(pi: perms.Permutation, p: int, q: int) -> bool:
+        return oracle.cds_move(pi, p, q) == perms.apply_cds(pi, p, q).elements
 
-    bad = 0
-    done = 0
-    attempts = 0
-    while done < per_family and attempts < limit:
-        attempts += 1
+    def graph_move() -> tuple[graphs.RootedGraph, int, int] | None:
         n = rng.randint(3, top)
         rows, _edges = _random_symmetric_rows(rng, n)
         g = _graph(tuple(rows))
         ctx = graphs.context_pairs(g)
-        if not ctx:
-            continue
-        p, q = rng.choice(ctx)
-        try:
-            moved = graphs.gcds(g, p, q)
-            adj = moved.adjacency
-            ok = (
-                adj.is_symmetric()
-                and adj.is_zero_diagonal()
-                and moved.degree(p) == 0
-                and moved.degree(q) == 0
-                and moved.roots == (0, n - 1)
-            )
-        except Exception:
-            ok = False
-        bad += not ok
-        done += 1
-    out.append(
-        CheckLine(
-            "random graph swaps keep two-rooted graphs",
-            bad == 0 and done == per_family,
-            f"{done} moves at sizes <= {top}",
-        )
-    )
+        return (g, *rng.choice(ctx)) if ctx else None
 
-    bad = 0
-    done = 0
-    attempts = 0
-    while done < per_family and attempts < limit:
-        attempts += 1
+    def keeps_rooted_graph(g: graphs.RootedGraph, p: int, q: int) -> bool:
+        moved = graphs.gcds(g, p, q)
+        adj = moved.adjacency
+        return (
+            adj.is_symmetric()
+            and adj.is_zero_diagonal()
+            and moved.degree(p) == 0
+            and moved.degree(q) == 0
+            and moved.roots == (0, g.n - 1)
+        )
+
+    def matrix_move() -> tuple[f2.F2Matrix, int, int] | None:
         n = rng.randint(2, top)
         rows, edges = _random_symmetric_rows(rng, n)
         if not edges:
-            continue
-        m = f2.F2Matrix.from_row_bits(rows, n)
-        p, q = rng.choice(edges)
-        try:
-            moved = f2.mcds(m, p, q)
-            ok = (
-                moved.is_symmetric()
-                and moved.is_zero_diagonal()
-                and moved.rows[p] == 0
-                and moved.rows[q] == 0
-                and f2.rank(moved) == f2.rank(m) - 2
-                and all(
-                    moved.mat_vec(v).bits == 0 for v in f2.kernel_basis(m)
-                )
-            )
-        except Exception:
-            ok = False
-        bad += not ok
-        done += 1
-    out.append(
-        CheckLine(
-            "random matrix swaps grow the kernel",
-            bad == 0 and done == per_family,
-            f"{done} moves at sizes <= {top}",
+            return None
+        return (f2.F2Matrix.from_row_bits(rows, n), *rng.choice(edges))
+
+    def grows_kernel(m: f2.F2Matrix, p: int, q: int) -> bool:
+        moved = f2.mcds(m, p, q)
+        return (
+            moved.is_symmetric()
+            and moved.is_zero_diagonal()
+            and moved.rows[p] == 0
+            and moved.rows[q] == 0
+            and f2.rank(moved) == f2.rank(m) - 2
+            and all(moved.mat_vec(v).bits == 0 for v in f2.kernel_basis(m))
         )
-    )
-    return out
+
+    return [
+        _random_family(name, top, draw, check)
+        for name, draw, check in (
+            ("random swaps keep permutations", perm_move, keeps_permutation),
+            ("random swaps match the oracle", perm_move, matches_oracle),
+            (
+                "random graph swaps keep two-rooted graphs",
+                graph_move,
+                keeps_rooted_graph,
+            ),
+            ("random matrix swaps grow the kernel", matrix_move, grows_kernel),
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 
-_SuiteFn = Callable[[int, int], "list[CheckLine]"]
+_SuiteFn = Callable[..., "list[CheckLine]"]
+
+# Only the census suites run worker processes; the rest take max_n alone.
+_THREADED = ("census", "eulerian")
 
 _SUITES: dict[str, tuple[_SuiteFn, int, str]] = {
     "table": (
@@ -1193,6 +1152,11 @@ def available_suites() -> list[tuple[str, str]]:
     return rows
 
 
+def _checks(name: str, max_n: int, threads: int) -> list[CheckLine]:
+    fn = _SUITES[name][0]
+    return fn(max_n, threads) if name in _THREADED else fn(max_n)
+
+
 def run_suite(
     name: str, max_n: int | None = None, threads: int = 1
 ) -> SuiteReport:
@@ -1206,8 +1170,8 @@ def run_suite(
     threads = max(1, threads)
     if name == "all":
         checks: list[CheckLine] = []
-        for sub, (fn, default, _desc) in _SUITES.items():
-            for line in fn(default, threads):
+        for sub, (_fn, default, _desc) in _SUITES.items():
+            for line in _checks(sub, default, threads):
                 checks.append(
                     CheckLine(f"{sub}: {line.name}", line.passed, line.detail)
                 )
@@ -1220,11 +1184,11 @@ def run_suite(
     if name not in _SUITES:
         known = ", ".join(SUITE_NAMES)
         raise ContractError(f"unknown suite {name!r}; available: {known}")
-    fn, default, _desc = _SUITES[name]
+    default = _SUITES[name][1]
     effective = default if max_n is None else max_n
     if effective < 1:
         raise ContractError(f"max_n must be positive, got {effective}")
-    checks = list(fn(effective, threads))
+    checks = _checks(name, effective, threads)
     return SuiteReport(
         suite=name,
         max_n=effective,

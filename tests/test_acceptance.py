@@ -55,20 +55,22 @@ def test_criterion(number, suite, budget, capsys):
     )
 
 
-def test_criterion_3_artifact(capsys):
-    """The even-degree adjudication must be written out as a report file."""
+def test_criterion_3_artifact(tmp_path, capsys):
+    """The even-degree adjudication report regenerates byte for byte."""
     script = os.path.join(ROOT, "scripts", "adjudicate_eulerian.py")
-    out_path = os.path.join(ROOT, "reports", "eulerian_adjudication.md")
+    committed = os.path.join(ROOT, "reports", "eulerian_adjudication.md")
+    out_path = tmp_path / "eulerian_adjudication.md"
     proc = subprocess.run(
-        [sys.executable, script, "--out", out_path],
+        [sys.executable, script, "--out", str(out_path)],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    with open(out_path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = out_path.read_text(encoding="utf-8")
     assert "| 6 | 1024 | 589 | 365 | 589 | rank_sum |" in text
     assert "| 5 | 64 | 29 | 29 | 29 | closed_formula, rank_sum |" in text
+    with open(committed, encoding="utf-8") as fh:
+        assert text == fh.read(), "committed report is stale; rerun the script"
     with capsys.disabled():
-        print(f"PASS criterion 3 artifact: {os.path.relpath(out_path, ROOT)}")
+        print(f"PASS criterion 3 artifact: {os.path.relpath(committed, ROOT)}")

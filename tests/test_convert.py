@@ -75,7 +75,31 @@ class TestRoundtrip:
             convert.precedence_to_adjacency(f2.F2Matrix([[0]]))
 
 
+def is_tournament_with_distinct_scores(c: f2.F2Matrix) -> bool:
+    """The reference definition of a precedence matrix: zero diagonal,
+    exactly one of (i,j)/(j,i) set for i != j, and the integer row sums a
+    permutation of 0..n-1."""
+    if not c.is_square or not c.is_zero_diagonal():
+        return False
+    n = c.nrows
+    for i in range(n):
+        for j in range(i + 1, n):
+            if c[i, j] == c[j, i]:
+                return False
+    return sorted(r.bit_count() for r in c.rows) == list(range(n))
+
+
 class TestPrecedencePredicate:
+    def test_matches_definition_on_every_small_matrix(self):
+        for n in range(1, 5):
+            for bits in range(1 << (n * n)):
+                c = f2.F2Matrix.from_row_bits(
+                    [(bits >> (n * i)) & ((1 << n) - 1) for i in range(n)], n
+                )
+                assert convert.is_precedence_matrix(
+                    c
+                ) == is_tournament_with_distinct_scores(c)
+
     def test_accepts_permutation_matrices(self):
         for tup in permutations(range(1, 5)):
             p = perms.precedence_matrix(perms.Permutation(tup))

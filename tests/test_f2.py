@@ -11,7 +11,6 @@ from cdslab.f2 import (
     kernel_basis,
     mcds,
     mcds_distance,
-    ones_complement,
     rank,
     solve_linear,
 )
@@ -56,7 +55,6 @@ class TestVector:
     def test_complement(self):
         v = F2Vector([1, 0, 0, 1])
         assert v.complement() == F2Vector([0, 1, 1, 0])
-        assert ones_complement(v) == v.complement()
 
     def test_unit_and_zeros(self):
         assert F2Vector.unit(3, 1) == F2Vector([0, 1, 0])

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from cdslab import f2, formats, perms
+from cdslab import f2, formats, perms, verify
 from cdslab.cli import run
 from cdslab.errors import ContractError
 
@@ -236,6 +236,13 @@ class TestVerifyCommand:
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
         assert run(["verify", "--suite", "nonsense"]) == 2
+
+    def test_random_check_records_the_first_exception(self):
+        line = verify._random_family("x", 3, lambda: (0,), lambda v: 1 // v)
+        assert not line.passed
+        assert line.detail.endswith(
+            "; first error ZeroDivisionError: integer division or modulo by zero"
+        )
 
 
 class TestUsage:

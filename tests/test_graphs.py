@@ -11,7 +11,6 @@ from cdslab.graphs import (
     RootedGraph,
     context_pairs,
     gcds,
-    gcds_reading_disagreement,
     generalized_parity_cuts,
     has_property,
     is_eulerian,
@@ -98,10 +97,6 @@ class TestGcds:
             gcds(g, 3, 3)
         with pytest.raises(InvalidMoveError):
             gcds(g, 1, 6)
-
-    def test_reading_disagreement(self):
-        # only the root pair (0, 5) collects all three terms of the rule
-        assert gcds_reading_disagreement(example_graph(), 1, 4) == [(0, 5)]
 
     def test_involution(self):
         g = example_graph()

@@ -1,5 +1,6 @@
 """Brute-force oracles: search, census, scans, and realization tables."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -113,10 +114,30 @@ class TestCutScan:
 
 class TestRealization:
     def test_move_graph_matches_library(self):
-        for n in (2, 3, 4):
+        for n in range(2, 8):
             for tup in permutations(range(1, n + 1)):
                 p = perms.Permutation(tup)
                 assert oracle.move_graph_bruteforce(p) == perms.move_graph(p)
+
+    @pytest.mark.parametrize("n", [200, 300])
+    def test_bit_rows_match_definitions_at_large_n(self, n):
+        rng = random.Random(n)
+        values = list(range(1, n + 1))
+        rng.shuffle(values)
+        p = perms.Permutation(values)
+        brute = oracle.move_graph_bruteforce(p)
+        assert perms.move_graph(p) == brute
+        contexts = perms.cds_contexts(p)
+        assert contexts == [
+            (a + 1, b + 1)
+            for a in range(n - 1)
+            for b in range(a + 1, n - 1)
+            if brute[a, b]
+        ]
+        g = perms.overlap_graph(p)
+        for a, b in rng.sample(contexts, 3):
+            moved = graphs.gcds(g, a, b).adjacency.rows
+            assert moved == oracle.gcds_move(g.adjacency.rows, a, b)
 
     def test_first_witness_is_lexicographic(self):
         found = oracle.realizable_bruteforce(f2.F2Matrix.zeros(3, 3))

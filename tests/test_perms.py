@@ -11,9 +11,7 @@ from cdslab.perms import (
     alternating_cycle_vectors,
     alternating_cycles,
     apply_cds,
-    block_interchange,
     cds_contexts,
-    cycle_graph,
     cycle_notation,
     is_cds_sortable,
     move_graph,
@@ -52,24 +50,6 @@ class TestPermutation:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             EXAMPLE.elements = (1, 2, 3, 4, 5)
-
-
-class TestBlockInterchange:
-    def test_swap(self):
-        out = block_interchange(EXAMPLE, (1, 2), (4, 5))
-        assert out == Permutation([1, 4, 5, 3, 2])
-
-    def test_adjacent_blocks(self):
-        out = block_interchange(Permutation([2, 1]), (1, 1), (2, 2))
-        assert out == Permutation([1, 2])
-
-    def test_rejects_overlap_and_bounds(self):
-        with pytest.raises(ContractError):
-            block_interchange(EXAMPLE, (1, 3), (3, 4))
-        with pytest.raises(ContractError):
-            block_interchange(EXAMPLE, (4, 5), (1, 2))
-        with pytest.raises(ContractError):
-            block_interchange(EXAMPLE, (0, 1), (2, 3))
 
 
 class TestContexts:
@@ -122,11 +102,6 @@ class TestCycles:
     def test_identity_mapping_is_all_fixed(self):
         note = cycle_notation(Permutation.identity(4))
         assert all(len(c) == 1 for c in note.cycles)
-
-    def test_graph(self):
-        g = cycle_graph(Permutation([2, 1]))
-        assert g.value_edges == ((0, 1), (1, 2), (2, 3))
-        assert g.chain_edges == ((3, 1), (1, 2), (2, 0))
 
 
 class TestStrategicPile:
