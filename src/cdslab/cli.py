@@ -13,10 +13,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import convert, counting, f2, formats, graphs, oracle, perms, verify
-from .errors import CdsLabError, ContractError, InvalidMoveError
+from .errors import CdsLabError, ContractError, InvalidMoveError, SizeLimitError
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -49,10 +48,6 @@ def _emit(args: argparse.Namespace, text: str, payload: dict[str, object]) -> No
 
 def _pile_text(pile: perms.StrategicPile) -> str:
     return "(" + ",".join(map(str, pile.ordered)) + ")"
-
-
-def _ratio3(r: Fraction) -> str:
-    return f"0.{round(r * 1000):03d}"
 
 
 def _matrix_lines(m: f2.F2Matrix) -> list[str]:
@@ -358,7 +353,7 @@ def _table_rows(
             "n": n,
             "total": rep.total,
             "sortable": rep.count,
-            "ratio": _ratio3(rep.ratio),
+            "ratio": formats.format_ratio(rep.ratio),
             "eulerian_sortable_formula": eu_formula.count,
             "eulerian_sortable_ranksum": eu_ranksum.count,
         }
@@ -384,6 +379,15 @@ def _render_table(rows: list[dict[str, object]]) -> str:
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.max_n < 3:
         raise ContractError(f"the table starts at n=3, got max-n {args.max_n}")
+    # checked before the first row, so a table that cannot finish fails at once
+    if args.max_n > counting.COUNT_LIMIT:
+        raise SizeLimitError(
+            f"counts limited to n <= {counting.COUNT_LIMIT}, got {args.max_n}"
+        )
+    if args.brute_force and args.max_n > oracle.CENSUS_LIMIT:
+        raise SizeLimitError(
+            f"census limited to n <= {oracle.CENSUS_LIMIT}, got {args.max_n}"
+        )
     rows = _table_rows(args.max_n, args.brute_force, args.threads)
     _emit(
         args,

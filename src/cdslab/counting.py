@@ -1,9 +1,12 @@
 """Counting sortable two-rooted graphs and the limiting sortable density.
 
-Everything here is exact: counts are arbitrary-precision ints, ratios and
-series terms are fractions.Fraction. The irrational constants entering the
-convergence bounds (sqrt(2) and quantities derived from it) are handled by
-rational sandwiching so every reported inequality is a certified one.
+Everything here is exact. Counts and series terms are arbitrary-precision
+ints, each list built by its own integer ratio recurrence with exact
+division; fractions.Fraction appears only where the answer is a ratio (the
+densities, their series terms, and the convergence bounds). The irrational
+constants entering the convergence bounds (sqrt(2) and quantities derived
+from it) are handled by rational sandwiching so every reported inequality
+is a certified one.
 """
 from __future__ import annotations
 
@@ -12,13 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import f2
-from .errors import ContractError, InternalInvariantError
+from .errors import ContractError, InternalInvariantError, SizeLimitError
 from .f2 import F2Matrix, F2Vector
 
 __all__ = [
     "CountReport",
     "ConvergenceReport",
     "COUNT_METHODS",
+    "COUNT_LIMIT",
     "block_construct",
     "sortable_extensions_count",
     "macwilliams_count",
@@ -31,6 +35,7 @@ __all__ = [
 ]
 
 COUNT_METHODS = ("closed_formula", "rank_sum", "brute_force")
+COUNT_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -104,6 +109,20 @@ def sortable_extensions_count(a: F2Matrix, eulerian: bool = False) -> int:
     return base ** f2.rank(a)
 
 
+def _rank_counts(t: int) -> list[int]:
+    """N(t, s) = macwilliams_count(t, 2s) for s = 0 .. t // 2, by the ratio
+    N(t, s+1) / N(t, s) = 2^{2s} (2^{t-2s}-1)(2^{t-2s-1}-1) / (4^{s+1}-1).
+    Every N(t, s) is an integer, so each division is exact."""
+    counts = [1]
+    for s in range(t // 2):
+        pair = ((1 << (t - 2 * s)) - 1) * ((1 << (t - 2 * s - 1)) - 1)
+        count, rem = divmod((counts[-1] << 2 * s) * pair, (4 << 2 * s) - 1)
+        if rem:
+            raise InternalInvariantError(f"rank count N({t}, {s + 1}) is not integral")
+        counts.append(count)
+    return counts
+
+
 def macwilliams_count(t: int, r: int) -> int:
     """Number of symmetric zero-diagonal t x t GF(2) matrices of rank r.
 
@@ -113,36 +132,36 @@ def macwilliams_count(t: int, r: int) -> int:
     """
     if t < 0 or not 0 <= r <= t:
         raise ContractError(f"rank {r} out of range for size {t}")
-    if r % 2:
-        return 0
-    s = r // 2
-    value = Fraction(1)
-    for i in range(1, s + 1):
-        value *= Fraction(1 << (2 * i - 2), (1 << (2 * i)) - 1)
-    for i in range(2 * s):
-        value *= (1 << (t - i)) - 1
-    if value.denominator != 1:
-        raise InternalInvariantError(
-            f"rank count for t={t}, r={r} is not integral: {value}"
-        )
-    return value.numerator
+    return 0 if r % 2 else _rank_counts(t)[r // 2]
 
 
-def _closed_formula_count(n: int, eulerian: bool) -> int:
-    total = Fraction(0)
-    for s in range(n // 2):
-        exponent = s * (s + 3) // 2 if eulerian else s * (s + 3)
-        term = Fraction(1 << exponent)
-        for i in range(2 * s):
-            term *= (1 << (n - 2 - i)) - 1
-        for i in range(1, s + 1):
-            term /= (1 << (2 * i)) - 1
-        total += term
-    if total.denominator != 1:
-        raise InternalInvariantError(
-            f"closed-form count for n={n} is not integral: {total}"
-        )
-    return total.numerator
+def _closed_formula_terms(n: int, eulerian: bool) -> list[int]:
+    """Terms s = 0 .. n // 2 - 1 of the closed formula on n vertices.
+
+    With t = n - 2, term s is 2^{e(s)} prod_{i=0}^{2s-1} (2^{t-i}-1) /
+    prod_{i=1}^{s} (4^i-1), where e(s) = s(s+3), or s(s+3)/2 in the
+    Eulerian variant. Term 0 is 1; term s+1 is term s times 2^{e(s+1)-e(s)}
+    (2^{t-2s}-1)(2^{t-2s-1}-1) / (4^{s+1}-1), an exact division.
+    """
+    t = n - 2
+    terms = [1]
+    for s in range(n // 2 - 1):
+        shift = s + 2 if eulerian else 2 * s + 4
+        pair = ((1 << (t - 2 * s)) - 1) * ((1 << (t - 2 * s - 1)) - 1)
+        term, rem = divmod((terms[-1] << shift) * pair, (4 << 2 * s) - 1)
+        if rem:
+            raise InternalInvariantError(
+                f"closed-form term {s + 1} for n={n} is not integral"
+            )
+        terms.append(term)
+    return terms
+
+
+def _check_count_size(n: int) -> None:
+    if n < 3:
+        raise ContractError(f"counting needs n >= 3, got {n}")
+    if n > COUNT_LIMIT:
+        raise SizeLimitError(f"counts limited to n <= {COUNT_LIMIT}, got {n}")
 
 
 def count_sortable(n: int, eulerian: bool = False) -> CountReport:
@@ -152,12 +171,12 @@ def count_sortable(n: int, eulerian: bool = False) -> CountReport:
     factor per term (2^{s(s+3)} vs 2^{s(s+3)/2}). The general variant
     agrees with the rank-sum aggregation for every n; the Eulerian variant
     does not from n = 6 on, so both are reported and the brute-force census
-    adjudicates at small sizes.
+    adjudicates at small sizes. Sizes above COUNT_LIMIT raise
+    SizeLimitError.
     """
-    if n < 3:
-        raise ContractError(f"counting needs n >= 3, got {n}")
+    _check_count_size(n)
     return CountReport.build(
-        n, "closed_formula", eulerian, _closed_formula_count(n, eulerian)
+        n, "closed_formula", eulerian, sum(_closed_formula_terms(n, eulerian))
     )
 
 
@@ -166,15 +185,12 @@ def count_sortable_rank_sum(n: int, eulerian: bool = False) -> CountReport:
 
     Aggregates sortable_extensions_count over all possible centers by rank:
     sum over s of coeff^{2s} * macwilliams_count(n-2, 2s) with coeff 4 in
-    general and 2 in the Eulerian case.
+    general and 2 in the Eulerian case. Sizes above COUNT_LIMIT raise
+    SizeLimitError.
     """
-    if n < 3:
-        raise ContractError(f"counting needs n >= 3, got {n}")
-    base = 2 if eulerian else 4
-    count = sum(
-        base ** (2 * s) * macwilliams_count(n - 2, 2 * s)
-        for s in range(n // 2)
-    )
+    _check_count_size(n)
+    shift = 2 if eulerian else 4
+    count = sum(c << (shift * s) for s, c in enumerate(_rank_counts(n - 2)))
     return CountReport.build(n, "rank_sum", eulerian, count)
 
 
@@ -182,6 +198,12 @@ def proportion(n: int) -> Fraction:
     """Exact density of sortable two-rooted graphs among all on n vertices."""
     report = count_sortable(n)
     return report.ratio
+
+
+def _even_terms(n: int) -> tuple[list[int], int]:
+    """Numerators of the series terms of x_n and their common denominator,
+    the number of graphs on 2n vertices."""
+    return _closed_formula_terms(2 * n, False), 1 << (n * (2 * n - 1))
 
 
 def proportion_term(n: int, s: int) -> Fraction:
@@ -194,13 +216,8 @@ def proportion_term(n: int, s: int) -> Fraction:
         raise ContractError(f"term needs n >= 1, got {n}")
     if not 0 <= s <= n - 1:
         raise ContractError(f"term index {s} out of range for n={n}")
-    num = 1 << (s * (s + 3))
-    for i in range(2 * s):
-        num *= (1 << (2 * n - 2 - i)) - 1
-    den = 1 << (n * (2 * n - 1))
-    for i in range(1, s + 1):
-        den *= (1 << (2 * i)) - 1
-    return Fraction(num, den)
+    row, total = _even_terms(n)
+    return Fraction(row[s], total)
 
 
 def sqrt2_bounds(bits: int = 70) -> tuple[Fraction, Fraction]:
@@ -259,7 +276,8 @@ def convergence_report(max_n: int = 50) -> ConvergenceReport:
     - term_bounds: term(n, s) < k^-n for 0 <= s <= floor(2n/3).
     - delta_linear: |x_{n+1} - x_n| <= 3n * k^-n.
     - delta_geometric: |x_{n+1} - x_n| <= T * c^-n.
-    - series_consistent: the terms re-sum to the closed-form density.
+    - series_consistent: the terms re-sum to the rank-sum density, an
+      independent formula, for 2 <= n <= min(max_n, 12).
     - constants: the rational sandwiches are valid and c > 1, T > 0.
     - x100_above_one_fifth and limit_positive_margin: x_100 > 1/5 and
       x_100 minus a certified tail upper bound is at least 4/25.
@@ -273,10 +291,10 @@ def convergence_report(max_n: int = 50) -> ConvergenceReport:
     terms: dict[tuple[int, int], Fraction] = {}
     even: dict[int, Fraction] = {}
     for n in range(1, max_n + 2):
-        row = [proportion_term(n, s) for s in range(n)]
+        row, total = _even_terms(n)
         for s, value in enumerate(row):
-            terms[(n, s)] = value
-        even[n] = sum(row, Fraction(0))
+            terms[(n, s)] = Fraction(value, total)
+        even[n] = Fraction(sum(row), total)
     odd = {n: proportion(2 * n + 1) for n in range(1, max_n + 1)}
 
     checks: dict[str, bool] = {}
@@ -316,7 +334,7 @@ def convergence_report(max_n: int = 50) -> ConvergenceReport:
 
     ok = True
     for n in range(2, min(max_n, 12) + 1):
-        if even[n] != proportion(2 * n):
+        if even[n] != count_sortable_rank_sum(2 * n).ratio:
             ok = False
             failures.append(f"series terms do not re-sum at n={n}")
     checks["series_consistent"] = ok
@@ -328,9 +346,8 @@ def convergence_report(max_n: int = 50) -> ConvergenceReport:
     if 100 <= max_n + 1:
         x100 = even[100]
     else:
-        x100 = sum(
-            (proportion_term(100, s) for s in range(100)), Fraction(0)
-        )
+        row, total = _even_terms(100)
+        x100 = Fraction(sum(row), total)
     tail_high = t_hi * c_lo ** -100 * c_lo / (c_lo - 1)
     limit_lower = x100 - tail_high
     checks["x100_above_one_fifth"] = x100 > Fraction(1, 5)

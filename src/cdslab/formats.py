@@ -5,9 +5,12 @@ line or end of input terminates. Permutation: integers separated by
 whitespace or commas, with optional surrounding brackets. Graph: either a
 header line "n root1 root2" followed by one "u v" edge per line, all
 1-based, or an adjacency matrix in the matrix format with the roots
-implicitly first and last.
+implicitly first and last. Ratio: a density in [0, 1] rounded to three
+decimal places, as the count table prints it.
 """
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .errors import ContractError
 from .f2 import F2Matrix
@@ -21,6 +24,7 @@ __all__ = [
     "format_permutation",
     "parse_graph",
     "format_graph",
+    "format_ratio",
 ]
 
 
@@ -120,3 +124,9 @@ def format_graph(g: RootedGraph) -> str:
     lines = [f"{g.n} 1 {g.n}"]
     lines.extend(f"{u + 1} {v + 1}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
+
+
+def format_ratio(r: Fraction) -> str:
+    """The ratio rounded to three decimal places, e.g. 17/64 -> "0.266"."""
+    thousandths = round(r * 1000)
+    return f"{thousandths // 1000}.{thousandths % 1000:03d}"

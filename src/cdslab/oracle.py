@@ -6,17 +6,19 @@ feasibility come from a local elimination routine, and move graphs are
 rebuilt by scanning pointer occurrences. The point is that the two sides
 can adjudicate each other at small sizes.
 
-Searches memoize by exact state. Move relations here strictly shrink an
-invariant, so the state graph is acyclic; a cycle guard raises instead of
-looping if that ever failed to hold.
+Each search memoizes by exact state in a table that lives for one call.
+Move relations here strictly shrink an invariant, so the state graph is
+acyclic; a cycle guard raises instead of looping if that ever failed to
+hold.
 """
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ContractError, InternalInvariantError, SizeLimitError
 from .f2 import F2Matrix
@@ -32,6 +34,7 @@ __all__ = [
     "gcds_sortable_bruteforce",
     "gcds_sortable_search",
     "gcds_fixed_point_profile",
+    "graph_rows",
     "census_bruteforce",
     "parity_cuts_bruteforce",
     "n0_bruteforce",
@@ -112,11 +115,8 @@ def _perm_children(state: tuple[int, ...]) -> list[tuple[int, ...]]:
     return children
 
 
-_CDS_MEMO: dict[tuple[int, ...], bool] = {}
-
-
-def _cds_sortable(state: tuple[int, ...], path: set[tuple[int, ...]]) -> bool:
-    cached = _CDS_MEMO.get(state)
+def _cds_sortable(state: tuple[int, ...], path: set, memo: dict) -> bool:
+    cached = memo.get(state)
     if cached is not None:
         return cached
     if state in path:
@@ -125,9 +125,9 @@ def _cds_sortable(state: tuple[int, ...], path: set[tuple[int, ...]]) -> bool:
         result = True
     else:
         path.add(state)
-        result = any(_cds_sortable(child, path) for child in _perm_children(state))
+        result = any(_cds_sortable(c, path, memo) for c in _perm_children(state))
         path.remove(state)
-    _CDS_MEMO[state] = result
+    memo[state] = result
     return result
 
 
@@ -135,7 +135,7 @@ def cds_sortable_bruteforce(pi: Permutation) -> bool:
     """Whether the identity is reachable by swap moves; memoized search."""
     if len(pi) > SEARCH_LIMIT:
         raise SizeLimitError(f"search limited to n <= {SEARCH_LIMIT}, got {len(pi)}")
-    return _cds_sortable(tuple(pi), set())
+    return _cds_sortable(tuple(pi), set(), {})
 
 
 def cds_sortable_search(pi: Permutation) -> SearchStats:
@@ -201,11 +201,8 @@ def gcds_move(rows: Sequence[int], p: int, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-_GCDS_MEMO: dict[tuple[int, ...], bool] = {}
-
-
-def _gcds_sortable(rows: tuple[int, ...], path: set[tuple[int, ...]]) -> bool:
-    cached = _GCDS_MEMO.get(rows)
+def _gcds_sortable(rows: tuple[int, ...], path: set, memo: dict) -> bool:
+    cached = memo.get(rows)
     if cached is not None:
         return cached
     if rows in path:
@@ -215,11 +212,11 @@ def _gcds_sortable(rows: tuple[int, ...], path: set[tuple[int, ...]]) -> bool:
     else:
         path.add(rows)
         result = any(
-            _gcds_sortable(gcds_move(rows, p, q), path)
+            _gcds_sortable(gcds_move(rows, p, q), path, memo)
             for p, q in _graph_contexts(rows)
         )
         path.remove(rows)
-    _GCDS_MEMO[rows] = result
+    memo[rows] = result
     return result
 
 
@@ -227,7 +224,7 @@ def gcds_sortable_bruteforce(g: RootedGraph) -> bool:
     """Whether the edgeless graph is reachable by moves; memoized search."""
     if g.n > SEARCH_LIMIT:
         raise SizeLimitError(f"search limited to n <= {SEARCH_LIMIT}, got {g.n}")
-    return _gcds_sortable(g.adjacency.rows, set())
+    return _gcds_sortable(g.adjacency.rows, set(), {})
 
 
 def gcds_sortable_search(g: RootedGraph) -> SearchStats:
@@ -252,11 +249,10 @@ def gcds_sortable_search(g: RootedGraph) -> SearchStats:
     return SearchStats(len(seen), depth, tuple(0 for _ in start) in seen)
 
 
-_PROFILE_MEMO: dict[tuple[int, ...], frozenset[tuple[int, bool]]] = {}
-
-
-def _profile(rows: tuple[int, ...], path: set) -> frozenset[tuple[int, bool]]:
-    cached = _PROFILE_MEMO.get(rows)
+def _profile(
+    rows: tuple[int, ...], path: set, memo: dict
+) -> frozenset[tuple[int, bool]]:
+    cached = memo.get(rows)
     if cached is not None:
         return cached
     if rows in path:
@@ -268,11 +264,11 @@ def _profile(rows: tuple[int, ...], path: set) -> frozenset[tuple[int, bool]]:
         path.add(rows)
         acc = set()
         for p, q in contexts:
-            for length, edgeless in _profile(gcds_move(rows, p, q), path):
+            for length, edgeless in _profile(gcds_move(rows, p, q), path, memo):
                 acc.add((length + 1, edgeless))
         path.remove(rows)
         result = frozenset(acc)
-    _PROFILE_MEMO[rows] = result
+    memo[rows] = result
     return result
 
 
@@ -285,7 +281,7 @@ def gcds_fixed_point_profile(g: RootedGraph) -> frozenset[tuple[int, bool]]:
     """
     if g.n > SEARCH_LIMIT:
         raise SizeLimitError(f"search limited to n <= {SEARCH_LIMIT}, got {g.n}")
-    return _profile(g.adjacency.rows, set())
+    return _profile(g.adjacency.rows, set(), {})
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +337,17 @@ def _kernel_reaches_ends(rows: tuple[int, ...], n: int) -> bool:
 # censuses
 
 
-def _edge_pairs(n: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(n), 2))
+def graph_rows(
+    n: int, start: int = 0, stop: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Adjacency rows of the graphs on n vertices whose edge masks lie in
+    [start, stop); stop defaults to 2^C(n,2), so by default every graph.
 
-
-def _census_chunk(n: int, eulerian: bool, start: int, stop: int) -> int:
-    pairs = _edge_pairs(n)
-    count = 0
+    Bit k of a mask selects the k-th pair of itertools.combinations(range(n), 2).
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    if stop is None:
+        stop = 1 << len(pairs)
     for mask in range(start, stop):
         rows = [0] * n
         m = mask
@@ -356,9 +356,15 @@ def _census_chunk(n: int, eulerian: bool, start: int, stop: int) -> int:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
             m >>= 1
+        yield tuple(rows)
+
+
+def _census_chunk(n: int, eulerian: bool, start: int, stop: int) -> int:
+    count = 0
+    for rows in graph_rows(n, start, stop):
         if eulerian and any(r.bit_count() & 1 for r in rows):
             continue
-        if _kernel_reaches_ends(tuple(rows), n):
+        if _kernel_reaches_ends(rows, n):
             count += 1
     return count
 
@@ -368,13 +374,15 @@ def census_bruteforce(n: int, eulerian: bool = False, threads: int = 1) -> int:
 
     Iterates all 2^(n(n-1)/2) labeled graphs with roots pinned first/last;
     each graph is tested by the kernel criterion (recomputed locally), which
-    the exhaustive move search validates elsewhere at n <= 6.
+    the exhaustive move search validates elsewhere at n <= 6. At most
+    os.cpu_count() worker processes run, however many threads are asked for.
     """
     if n < 2:
         raise ContractError(f"census needs n >= 2, got {n}")
     if n > CENSUS_LIMIT:
         raise SizeLimitError(f"census limited to n <= {CENSUS_LIMIT}, got {n}")
     total = 1 << (n * (n - 1) // 2)
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1:
         return _census_chunk(n, eulerian, 0, total)
     bounds = [total * i // (threads * 4) for i in range(threads * 4 + 1)]
@@ -430,19 +438,7 @@ def n0_bruteforce(t: int, r: int) -> int:
         raise ContractError(f"sizes must be nonnegative, got t={t}, r={r}")
     if t > N0_LIMIT:
         raise SizeLimitError(f"enumeration limited to t <= {N0_LIMIT}, got {t}")
-    pairs = _edge_pairs(t)
-    count = 0
-    for mask in range(1 << len(pairs)):
-        rows = [0] * t
-        m = mask
-        for u, v in pairs:
-            if m & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            m >>= 1
-        if _rows_rank(rows) == r:
-            count += 1
-    return count
+    return sum(_rows_rank(rows) == r for rows in graph_rows(t))
 
 
 # ---------------------------------------------------------------------------

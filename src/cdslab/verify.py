@@ -12,7 +12,6 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from . import convert, counting, f2, formats, graphs, oracle, perms
@@ -140,26 +139,9 @@ _PRECEDENCE_10 = """
 # helpers
 
 
-def _ratio_digits(r: Fraction) -> str:
-    """The ratio rounded to three decimal places, as printed in the table."""
-    return f"0.{round(r * 1000):03d}"
-
-
 def _all_perms(n: int) -> Iterator[perms.Permutation]:
     for values in itertools.permutations(range(1, n + 1)):
         yield perms.Permutation(values)
-
-
-def _all_graph_rows(n: int) -> Iterator[tuple[int, ...]]:
-    """Adjacency rows of every simple graph on n vertices (2^C(n,2) many)."""
-    pairs = list(itertools.combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        for k, (u, v) in enumerate(pairs):
-            if (mask >> k) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        yield tuple(rows)
 
 
 def _graph(rows: tuple[int, ...]) -> graphs.RootedGraph:
@@ -211,7 +193,7 @@ def _suite_table(max_n: int) -> list[CheckLine]:
         rep = counting.count_sortable(n)
         ranks = counting.count_sortable_rank_sum(n)
         eul = counting.count_sortable(n, eulerian=True)
-        digits = _ratio_digits(rep.ratio)
+        digits = formats.format_ratio(rep.ratio)
         ok = (
             rep.total == row.total
             and rep.count == row.sortable == ranks.count
@@ -399,7 +381,7 @@ def _suite_commuting(max_n: int) -> list[CheckLine]:
     for n in range(2, min(max_n, 6) + 1):
         moves = 0
         bad = 0
-        for rows in _all_graph_rows(n):
+        for rows in oracle.graph_rows(n):
             g = _graph(rows)
             for p, q in graphs.context_pairs(g):
                 moved = graphs.gcds(g, p, q).adjacency.rows
@@ -423,7 +405,7 @@ def _suite_distance(max_n: int) -> list[CheckLine]:
         count = 0
         bad = 0
         sortable_count = 0
-        for rows in _all_graph_rows(n):
+        for rows in oracle.graph_rows(n):
             g = _graph(rows)
             dist = f2.mcds_distance(g.adjacency)
             sortable = graphs.is_gcds_sortable(g)
@@ -444,7 +426,7 @@ def _suite_distance(max_n: int) -> list[CheckLine]:
         )
     for n in range(2, min(gn, 5) + 1):
         bad = 0
-        for rows in _all_graph_rows(n):
+        for rows in oracle.graph_rows(n):
             g = _graph(rows)
             stats = oracle.gcds_sortable_search(g)
             dist = f2.mcds_distance(g.adjacency)
@@ -501,7 +483,7 @@ def _suite_realize(max_n: int) -> list[CheckLine]:
         realizable = 0
         total = 0
         bad = 0
-        for rows in _all_graph_rows(k):
+        for rows in oracle.graph_rows(k):
             m = f2.F2Matrix.from_row_bits(rows, k)
             got = convert.realize_move_graph(m)
             ref = oracle.realizable_bruteforce(m)
@@ -546,7 +528,7 @@ def _suite_kernel(max_n: int) -> list[CheckLine]:
     # kernel enumeration vs. exhaustive subset scan
     for n in range(2, min(gn, 5) + 1):
         bad = 0
-        for rows in _all_graph_rows(n):
+        for rows in oracle.graph_rows(n):
             g = _graph(rows)
             analytic = {c.vector.bits for c in graphs.generalized_parity_cuts(g)}
             scanned = _cut_masks(oracle.parity_cuts_bruteforce(g, "generalized"))
@@ -557,7 +539,7 @@ def _suite_kernel(max_n: int) -> list[CheckLine]:
     for n in range(2, gn + 1):
         bad = 0
         count = 0
-        for rows in _all_graph_rows(n):
+        for rows in oracle.graph_rows(n):
             if not _eulerian_rows(rows):
                 continue
             g = _graph(rows)
@@ -590,7 +572,7 @@ def _suite_kernel(max_n: int) -> list[CheckLine]:
         bad = 0
         eul_bad = 0
         moves = 0
-        for rows in _all_graph_rows(n):
+        for rows in oracle.graph_rows(n):
             g = _graph(rows)
             eulerian = _eulerian_rows(rows)
             pre = None
@@ -723,7 +705,7 @@ def _suite_kernel(max_n: int) -> list[CheckLine]:
     for n in range(2, gn + 1):
         bad = 0
         count = 0
-        for rows in _all_graph_rows(n):
+        for rows in oracle.graph_rows(n):
             if not _eulerian_rows(rows):
                 continue
             g = _graph(rows)
@@ -795,7 +777,7 @@ def _suite_blocks(max_n: int) -> list[CheckLine]:
 
     bad = 0
     for t in range(0, 4):
-        for rows in _all_graph_rows(t):
+        for rows in oracle.graph_rows(t):
             a = f2.F2Matrix.from_row_bits(rows, t)
             for ub in range(1 << t):
                 u = f2.F2Vector.from_bits(ub, t)
@@ -810,7 +792,7 @@ def _suite_blocks(max_n: int) -> list[CheckLine]:
 
     bad = 0
     for t in range(0, 4):
-        for rows in _all_graph_rows(t):
+        for rows in oracle.graph_rows(t):
             a = f2.F2Matrix.from_row_bits(rows, t)
             kernel = _kernel_mask_set(a)
             images = [
@@ -840,7 +822,7 @@ def _suite_blocks(max_n: int) -> list[CheckLine]:
     bad = 0
     solvable = 0
     for n in range(2, gn + 1):
-        for rows in _all_graph_rows(n):
+        for rows in oracle.graph_rows(n):
             if not _eulerian_rows(rows):
                 continue
             adj = f2.F2Matrix.from_row_bits(rows, n)
@@ -868,7 +850,7 @@ def _suite_blocks(max_n: int) -> list[CheckLine]:
     for n in range(2, gn + 1):
         bad = 0
         count = 0
-        for rows in _all_graph_rows(n):
+        for rows in oracle.graph_rows(n):
             adj = f2.F2Matrix.from_row_bits(rows, n)
             if not f2.is_mcds_sortable(adj):
                 continue
@@ -911,7 +893,7 @@ def _suite_blocks(max_n: int) -> list[CheckLine]:
 
     for t in range(0, min(gn - 2, 4) + 1):
         bad = 0
-        for rows in _all_graph_rows(t):
+        for rows in oracle.graph_rows(t):
             center = f2.F2Matrix.from_row_bits(rows, t)
             want = counting.sortable_extensions_count(center)
             want_eul = counting.sortable_extensions_count(center, eulerian=True)

@@ -7,6 +7,7 @@ import pytest
 
 from cdslab import f2, oracle
 from cdslab.counting import (
+    COUNT_LIMIT,
     CountReport,
     block_construct,
     convergence_report,
@@ -52,6 +53,54 @@ EULERIAN_RANK_SUM = {
 }
 
 
+# Reference products, one Fraction per factor, as the counts were first
+# computed; the integer recurrences in cdslab.counting must reproduce them.
+
+
+def ref_macwilliams(t: int, r: int) -> int:
+    if r % 2:
+        return 0
+    s = r // 2
+    value = Fraction(1)
+    for i in range(1, s + 1):
+        value *= Fraction(1 << (2 * i - 2), (1 << (2 * i)) - 1)
+    for i in range(2 * s):
+        value *= (1 << (t - i)) - 1
+    assert value.denominator == 1
+    return value.numerator
+
+
+def ref_closed_formula(n: int, eulerian: bool) -> int:
+    total = Fraction(0)
+    for s in range(n // 2):
+        exponent = s * (s + 3) // 2 if eulerian else s * (s + 3)
+        term = Fraction(1 << exponent)
+        for i in range(2 * s):
+            term *= (1 << (n - 2 - i)) - 1
+        for i in range(1, s + 1):
+            term /= (1 << (2 * i)) - 1
+        total += term
+    assert total.denominator == 1
+    return total.numerator
+
+
+def ref_rank_sum(n: int, eulerian: bool) -> int:
+    base = 2 if eulerian else 4
+    return sum(
+        base ** (2 * s) * ref_macwilliams(n - 2, 2 * s) for s in range(n // 2)
+    )
+
+
+def ref_proportion_term(n: int, s: int) -> Fraction:
+    num = 1 << (s * (s + 3))
+    for i in range(2 * s):
+        num *= (1 << (2 * n - 2 - i)) - 1
+    den = 1 << (n * (2 * n - 1))
+    for i in range(1, s + 1):
+        den *= (1 << (2 * i)) - 1
+    return Fraction(num, den)
+
+
 def all_centers(t: int):
     pairs = list(combinations(range(t), 2))
     for mask in range(1 << len(pairs)):
@@ -82,9 +131,22 @@ class TestCounts:
             assert got == EULERIAN_RANK_SUM[n]
         assert EULERIAN_FORMULA[6] != EULERIAN_RANK_SUM[6]
 
+    def test_matches_the_fraction_products(self):
+        for n in range(3, 61):
+            for eulerian in (False, True):
+                want = ref_closed_formula(n, eulerian)
+                assert count_sortable(n, eulerian).count == want
+                want = ref_rank_sum(n, eulerian)
+                assert count_sortable_rank_sum(n, eulerian).count == want
+
     def test_small_sizes_rejected(self):
         with pytest.raises(ContractError):
             count_sortable(2)
+
+    def test_large_sizes_rejected(self):
+        for count in (count_sortable, count_sortable_rank_sum):
+            with pytest.raises(SizeLimitError, match="n <= 2000, got 2001"):
+                count(COUNT_LIMIT + 1)
 
     def test_report_validation(self):
         with pytest.raises(ContractError):
@@ -133,6 +195,11 @@ class TestMacWilliams:
             for r in range(0, t + 1):
                 assert macwilliams_count(t, r) == oracle.n0_bruteforce(t, r)
 
+    def test_matches_the_fraction_product(self):
+        for t in range(0, 31):
+            for r in range(0, t + 1):
+                assert macwilliams_count(t, r) == ref_macwilliams(t, r)
+
     def test_odd_rank_is_empty(self):
         for t in range(0, 8):
             for s in range(1, t + 1, 2):
@@ -159,6 +226,12 @@ class TestConvergence:
                 (proportion_term(n, s) for s in range(n)), Fraction(0)
             )
             assert total == proportion(2 * n)
+            assert total == count_sortable_rank_sum(2 * n).ratio
+
+    def test_terms_match_the_fraction_products(self):
+        for n in range(1, 21):
+            for s in range(n):
+                assert proportion_term(n, s) == ref_proportion_term(n, s)
 
     def test_term_range(self):
         with pytest.raises(ContractError):

@@ -3,10 +3,11 @@
 import io
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
-from cdslab import f2, formats, perms, verify
+from cdslab import counting, f2, formats, oracle, perms, verify
 from cdslab.cli import run
 from cdslab.errors import ContractError
 
@@ -66,6 +67,13 @@ class TestFormats:
             formats.parse_graph("4 1 1\n")
         with pytest.raises(ContractError):
             formats.parse_graph("4 1 4\n5 1\n")
+
+
+    def test_ratio(self):
+        assert formats.format_ratio(Fraction(17, 64)) == "0.266"
+        assert formats.format_ratio(Fraction(1, 8)) == "0.125"
+        assert formats.format_ratio(Fraction(0)) == "0.000"
+        assert formats.format_ratio(Fraction(9999, 10000)) == "1.000"
 
 
 class TestPermCommands:
@@ -217,6 +225,32 @@ class TestCountTable:
     def test_table_rejects_tiny(self, capsys):
         assert run(["table", "--max-n", "2"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_table_checks_the_census_limit_first(self, capsys, monkeypatch):
+        def no_census(*args, **kwargs):
+            raise AssertionError("a census ran")
+
+        monkeypatch.setattr(oracle, "census_bruteforce", no_census)
+        assert run(["table", "--max-n", "8", "--brute-force"]) == 1
+        assert capsys.readouterr().err == (
+            "error: census limited to n <= 7, got 8\n"
+        )
+
+    def test_sizes_above_the_count_limit_fail_at_once(self, capsys, monkeypatch):
+        def no_terms(*args, **kwargs):
+            raise AssertionError("a count was computed")
+
+        monkeypatch.setattr(counting, "_closed_formula_terms", no_terms)
+        monkeypatch.setattr(counting, "_rank_counts", no_terms)
+        for argv in (
+            ["count", "--n", "2001"],
+            ["count", "--n", "2001", "--method", "rank_sum"],
+            ["table", "--max-n", "2001"],
+        ):
+            assert run(argv) == 1
+            assert capsys.readouterr().err == (
+                "error: counts limited to n <= 2000, got 2001\n"
+            )
 
 
 class TestVerifyCommand:

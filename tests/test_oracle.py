@@ -1,7 +1,9 @@
 """Brute-force oracles: search, census, scans, and realization tables."""
 
+import os
 import random
-from itertools import permutations
+from concurrent.futures import Future
+from itertools import combinations, permutations
 
 import pytest
 
@@ -81,6 +83,58 @@ class TestCensus:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             oracle.census_bruteforce(8)
+
+    def test_workers_limited_to_the_cpu_count(self, monkeypatch):
+        """A huge thread request starts at most os.cpu_count() workers and
+        splits the masks for that many. The pool is a stand-in that records
+        its size and runs each chunk inline, so no process is started."""
+        sizes = []
+        chunks = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                chunks.append(args)
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
+        assert oracle.census_bruteforce(5, threads=5000) == 113
+        assert oracle.census_bruteforce(5, eulerian=True, threads=5000) == 29
+        cpus = os.cpu_count() or 1
+        assert all(size <= cpus for size in sizes)
+        assert len(chunks) <= 2 * 4 * cpus
+
+
+class TestGraphRows:
+    def test_bit_k_selects_the_kth_pair(self):
+        for n in range(0, 6):
+            pairs = list(combinations(range(n), 2))
+            listed = list(oracle.graph_rows(n))
+            assert len(listed) == 1 << len(pairs)
+            for mask, rows in enumerate(listed):
+                edges = {
+                    (u, v)
+                    for u in range(n)
+                    for v in range(n)
+                    if (rows[u] >> v) & 1
+                }
+                want = {pairs[k] for k in range(len(pairs)) if (mask >> k) & 1}
+                assert edges == want | {(v, u) for u, v in want}
+
+    def test_mask_range(self):
+        everything = list(oracle.graph_rows(4))
+        assert list(oracle.graph_rows(4, 5, 9)) == everything[5:9]
+        assert list(oracle.graph_rows(4, 60)) == everything[60:]
 
 
 class TestCutScan:
