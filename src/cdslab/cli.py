@@ -10,7 +10,6 @@ object per invocation.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -20,6 +19,10 @@ from .errors import CdsLabError, ContractError, InvalidMoveError, SizeLimitError
 __all__ = ["build_parser", "main", "run"]
 
 _DATA_HELP = "literal text, a file path, or - for stdin (default: stdin)"
+
+# The table computes three counts for every n up to max-n. On two cores it
+# takes about 7 s at max-n 350, text or JSON, 10 s at 400 and 30 s at 500.
+TABLE_LIMIT = 350
 
 
 def _env_threads() -> int:
@@ -41,7 +44,7 @@ def _read_text(data: str | None) -> str:
 
 def _emit(args: argparse.Namespace, text: str, payload: dict[str, object]) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(formats.format_json(payload))
     else:
         print(text.rstrip("\n"))
 
@@ -327,7 +330,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         rep = counting.count_sortable(args.n, eulerian=args.eulerian)
     _emit(
         args,
-        str(rep.count),
+        formats.format_int(rep.count),
         {
             "command": "count",
             "n": rep.n,
@@ -335,7 +338,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
             "eulerian": rep.eulerian,
             "count": rep.count,
             "total": rep.total,
-            "ratio": str(rep.ratio),
+            "ratio": f"{formats.format_int(rep.ratio.numerator)}/"
+            f"{formats.format_int(rep.ratio.denominator)}",
         },
     )
     return 0
@@ -365,14 +369,17 @@ def _table_rows(
 
 def _render_table(rows: list[dict[str, object]]) -> str:
     headers = list(rows[0])
+    cells = [
+        [v if isinstance(v, str) else formats.format_int(v) for v in r.values()]
+        for r in rows
+    ]
     widths = [
-        max(len(h), *(len(str(r[h])) for r in rows)) for h in headers
+        max(len(h), *(len(line[i]) for line in cells))
+        for i, h in enumerate(headers)
     ]
     lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for r in rows:
-        lines.append(
-            "  ".join(str(r[h]).rjust(w) for h, w in zip(headers, widths))
-        )
+    for line in cells:
+        lines.append("  ".join(c.rjust(w) for c, w in zip(line, widths)))
     return "\n".join(lines)
 
 
@@ -383,6 +390,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.max_n > counting.COUNT_LIMIT:
         raise SizeLimitError(
             f"counts limited to n <= {counting.COUNT_LIMIT}, got {args.max_n}"
+        )
+    if args.max_n > TABLE_LIMIT:
+        raise SizeLimitError(
+            f"table limited to max-n <= {TABLE_LIMIT}, got {args.max_n}"
         )
     if args.brute_force and args.max_n > oracle.CENSUS_LIMIT:
         raise SizeLimitError(
@@ -402,7 +413,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         args.suite, max_n=args.max_n, threads=args.threads
     )
     if args.json:
-        print(json.dumps({"command": "verify", **report.to_json()}, indent=2))
+        print(formats.format_json({"command": "verify", **report.to_json()}))
     else:
         print(report.render())
     return 0 if report.passed else 1

@@ -56,7 +56,8 @@ class CountReport:
             raise ContractError(
                 f"count {self.count} outside [0, {self.total}]"
             )
-        if self.ratio != Fraction(self.count, self.total):
+        # cross-multiplied, so the check costs no second gcd
+        if self.ratio.numerator * self.total != self.count * self.ratio.denominator:
             raise ContractError("ratio does not equal count/total")
 
     @classmethod

@@ -6,10 +6,14 @@ whitespace or commas, with optional surrounding brackets. Graph: either a
 header line "n root1 root2" followed by one "u v" edge per line, all
 1-based, or an adjacency matrix in the matrix format with the roots
 implicitly first and last. Ratio: a density in [0, 1] rounded to three
-decimal places, as the count table prints it.
+decimal places, as the count table prints it. Integers: exact decimal digits
+at any size, in text and in JSON, so counts print in full up to the count
+limit.
 """
 from __future__ import annotations
 
+import decimal
+import json
 from fractions import Fraction
 
 from .errors import ContractError
@@ -25,7 +29,13 @@ __all__ = [
     "parse_graph",
     "format_graph",
     "format_ratio",
+    "format_int",
+    "format_json",
 ]
+
+# format_int converts chunks of at most this many bits with Decimal(int);
+# its time is flat for chunks from 512 to 8192 bits.
+_CHUNK_BITS = 2048
 
 
 def _body_lines(text: str) -> list[str]:
@@ -130,3 +140,62 @@ def format_ratio(r: Fraction) -> str:
     """The ratio rounded to three decimal places, e.g. 17/64 -> "0.266"."""
     thousandths = round(r * 1000)
     return f"{thousandths // 1000}.{thousandths % 1000:03d}"
+
+
+def format_int(value: int) -> str:
+    """Exact decimal digits of an int of any size.
+
+    str() refuses ints with more digits than sys.get_int_max_str_digits().
+    Those are split into two halves of bits, recursively, and the halves are
+    joined by decimal's exact arithmetic, which multiplies big numbers fast;
+    the interpreter's limit is left as it is.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    magnitude = abs(value)
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(_to_decimal(magnitude, magnitude.bit_length(), {}))
+    return "-" + digits if value < 0 else digits
+
+
+def _to_decimal(value: int, bits: int, powers: dict) -> decimal.Decimal:
+    if bits <= _CHUNK_BITS:
+        return decimal.Decimal(value)
+    half = bits // 2
+    high = value >> half
+    power = powers.get(half)
+    if power is None:
+        power = powers[half] = decimal.Decimal(2) ** half
+    return _to_decimal(high, bits - half, powers) * power + _to_decimal(
+        value - (high << half), half, powers
+    )
+
+
+def format_json(value: object) -> str:
+    """The text of json.dumps(value, indent=2), with ints of any size."""
+    try:
+        return json.dumps(value, indent=2)
+    except ValueError:  # an int with more digits than str() allows
+        return _json_text(value, "")
+
+
+def _json_text(value: object, indent: str) -> str:
+    """json.dumps(value, indent=2) with every int written by format_int."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [
+            f"{inner}{json.dumps(key)}: {_json_text(item, inner)}"
+            for key, item in value.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        items = [inner + _json_text(item, inner) for item in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return format_int(value)
+    return json.dumps(value)

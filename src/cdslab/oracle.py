@@ -1,10 +1,14 @@
 """Brute-force reference implementations, built from definitions only.
 
 Nothing here calls into the analytic modules: moves are applied by cutting
-and swapping blocks, sortability is decided by exhaustive search, ranks and
-feasibility come from a local elimination routine, and move graphs are
-rebuilt by scanning pointer occurrences. The point is that the two sides
-can adjudicate each other at small sizes.
+and swapping blocks, sortability is decided by exhaustive search, ranks come
+from a local elimination routine, and move graphs are rebuilt by scanning
+pointer occurrences. The point is that the two sides can adjudicate each
+other at small sizes.
+
+The census is bit-sliced: it tests a block of 2^CENSUS_BLOCK_BITS graphs at
+once, graph i of the block in bit lane i of a Python int, with a GF(2)
+elimination of its own that treats every lane alike.
 
 Each search memoizes by exact state in a table that lives for one call.
 Move relations here strictly shrink an invariant, so the state graph is
@@ -44,6 +48,7 @@ __all__ = [
 
 SEARCH_LIMIT = 8
 CENSUS_LIMIT = 7
+CENSUS_BLOCK_BITS = 12  # 2^12 graphs per census block, one per bit lane
 CUTS_LIMIT = 16
 N0_LIMIT = 5
 REALIZE_LIMIT = 6
@@ -285,26 +290,7 @@ def gcds_fixed_point_profile(g: RootedGraph) -> frozenset[tuple[int, bool]]:
 
 
 # ---------------------------------------------------------------------------
-# local elimination: consistency and rank
-
-
-def _consistent(equations: list[int], n: int) -> bool:
-    """Solvability of a GF(2) system; bit n of each equation is its rhs."""
-    rhs_bit = 1 << n
-    basis: dict[int, int] = {}
-    for eq in equations:
-        cur = eq
-        while cur & (rhs_bit - 1):
-            lead = (cur & (rhs_bit - 1)).bit_length() - 1
-            other = basis.get(lead)
-            if other is None:
-                basis[lead] = cur
-                cur = 0
-                break
-            cur ^= other
-        if cur == rhs_bit:
-            return False
-    return True
+# local elimination: rank
 
 
 def _rows_rank(rows) -> int:
@@ -319,18 +305,6 @@ def _rows_rank(rows) -> int:
                 break
             cur ^= other
     return len(basis)
-
-
-def _kernel_reaches_ends(rows: tuple[int, ...], n: int) -> bool:
-    """Sortability criterion, rechecked as two feasibility problems:
-    some kernel vector is 1 at the first root and 0 at the last, and some
-    other is 0 at the first and 1 at the last."""
-    base = [r for r in rows]  # homogeneous: rhs bit stays 0
-    first, last = 1 << 0, 1 << (n - 1)
-    rhs = 1 << n
-    pin_a = base + [first | rhs, last]
-    pin_b = base + [first, last | rhs]
-    return _consistent(pin_a, n) and _consistent(pin_b, n)
 
 
 # ---------------------------------------------------------------------------
@@ -359,38 +333,104 @@ def graph_rows(
         yield tuple(rows)
 
 
+def _lane_patterns(bits: int) -> list[int]:
+    """Entry k has lane i set iff bit k of i is set, for 2^bits lanes."""
+    lanes = 1 << bits
+    full = (1 << lanes) - 1
+    patterns = []
+    for k in range(bits):
+        half = 1 << k
+        period = ((1 << half) - 1) << half  # 2^k clear lanes, then 2^k set
+        patterns.append(full // ((1 << 2 * half) - 1) * period)
+    return patterns
+
+
+def _block_lanes(n: int, lo: int, patterns: list[int]) -> tuple[int, int]:
+    """Lane masks (sortable, even degree) of the graphs with edge masks
+    lo + i, one graph per lane i, for i below 2^len(patterns).
+
+    Sortable is the kernel criterion: with x_0, x_{n-1} pinned to (1, 0) and
+    to (0, 1), A x = 0 becomes B y = a_0 and B y = a_{n-1}, where B holds
+    the non-root columns of A. Both systems are eliminated at once, in every
+    lane, without branching on a lane.
+    """
+    bits = len(patterns)
+    full = (1 << (1 << bits)) - 1
+    adj = [[0] * n for _ in range(n)]
+    for k, (u, v) in enumerate(itertools.combinations(range(n), 2)):
+        lane = patterns[k] if k < bits else full * ((lo >> k) & 1)
+        adj[u][v] = adj[v][u] = lane
+    even = full
+    for row in adj:
+        parity = 0
+        for lane in row:
+            parity ^= lane
+        even &= ~parity
+    # row r: the n - 2 entries of B, then a_0 and a_{n-1}: n columns
+    system = [row[1 : n - 1] + [row[0], row[n - 1]] for row in adj]
+    used = [0] * n
+    for c in range(n - 2):
+        free = full
+        pivot = [0] * n
+        for r, row in enumerate(system):
+            # each lane pivots on its first unused row with a 1 in column c
+            sel = row[c] & free & ~used[r]
+            if sel:
+                free ^= sel
+                used[r] |= sel
+                for j in range(c + 1, n):
+                    pivot[j] |= sel & row[j]
+        for r, row in enumerate(system):
+            hit = row[c] & ~used[r]
+            if hit:
+                for j in range(c + 1, n):
+                    row[j] ^= hit & pivot[j]
+    inconsistent = 0
+    for r, row in enumerate(system):
+        inconsistent |= (row[-2] | row[-1]) & ~used[r]
+    return full & ~inconsistent, even
+
+
 def _census_chunk(n: int, eulerian: bool, start: int, stop: int) -> int:
+    """Graphs counted in the edge masks [start, stop), whole lane blocks."""
+    bits = min(CENSUS_BLOCK_BITS, n * (n - 1) // 2)
+    patterns = _lane_patterns(bits)
     count = 0
-    for rows in graph_rows(n, start, stop):
-        if eulerian and any(r.bit_count() & 1 for r in rows):
-            continue
-        if _kernel_reaches_ends(rows, n):
-            count += 1
+    for lo in range(start, stop, 1 << bits):
+        sortable, even = _block_lanes(n, lo, patterns)
+        count += (sortable & even if eulerian else sortable).bit_count()
     return count
 
 
 def census_bruteforce(n: int, eulerian: bool = False, threads: int = 1) -> int:
     """Count sortable two-rooted graphs on n vertices by full enumeration.
 
-    Iterates all 2^(n(n-1)/2) labeled graphs with roots pinned first/last;
-    each graph is tested by the kernel criterion (recomputed locally), which
-    the exhaustive move search validates elsewhere at n <= 6. At most
-    os.cpu_count() worker processes run, however many threads are asked for.
+    Every one of the 2^(n(n-1)/2) labeled graphs (roots first and last) is
+    tested by the kernel criterion, with an elimination local to this
+    module; the exhaustive move search validates that criterion elsewhere at
+    n <= 6. The test is bit-sliced: a block of 2^CENSUS_BLOCK_BITS
+    consecutive edge masks is one Python int per matrix entry, bit i of it
+    for mask lo + i, and the elimination runs on all lanes at once. The
+    Eulerian census adds an even-degree lane mask. Blocks are split over at
+    most os.cpu_count() worker processes, however many threads are asked
+    for; the census is fast enough that this helps only at n = 7.
     """
     if n < 2:
         raise ContractError(f"census needs n >= 2, got {n}")
     if n > CENSUS_LIMIT:
         raise SizeLimitError(f"census limited to n <= {CENSUS_LIMIT}, got {n}")
-    total = 1 << (n * (n - 1) // 2)
+    pairs = n * (n - 1) // 2
+    total = 1 << pairs
     threads = min(threads, os.cpu_count() or 1)
     if threads <= 1:
         return _census_chunk(n, eulerian, 0, total)
-    bounds = [total * i // (threads * 4) for i in range(threads * 4 + 1)]
+    block = 1 << min(CENSUS_BLOCK_BITS, pairs)
+    parts = threads * 4
+    bounds = sorted({block * (total // block * i // parts) for i in range(parts + 1)})
     with ProcessPoolExecutor(max_workers=threads) as pool:
         futures = [
             pool.submit(_census_chunk, n, eulerian, lo, hi)
             for lo, hi in zip(bounds, bounds[1:])
-            if lo < hi
         ]
         return sum(f.result() for f in futures)
 

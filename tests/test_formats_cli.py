@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -74,6 +76,32 @@ class TestFormats:
         assert formats.format_ratio(Fraction(1, 8)) == "0.125"
         assert formats.format_ratio(Fraction(0)) == "0.000"
         assert formats.format_ratio(Fraction(9999, 10000)) == "1.000"
+
+    def test_int_digits_at_any_size(self):
+        """Digits read back through decimal, which parses any length."""
+        rng = random.Random(5)
+        for bits in (1, 64, 2047, 2048, 2049, 5000, 20000, 70001):
+            value = rng.getrandbits(bits) | 1 << (bits - 1)
+            for v in (value, -value):
+                text = formats.format_int(v)
+                assert int(Decimal(text)) == v
+                assert text.lstrip("-")[0] != "0"
+        assert formats.format_int(0) == "0"
+
+    def test_json_text_matches_json_dumps(self):
+        payload = {
+            "a": [1, [], {}, {"b": None, "c": (2, -3)}],
+            "d": True,
+            "e": "\u00e9\n\"",
+            "f": 1.5,
+            "g": [[0], False],
+        }
+        assert formats._json_text(payload, "") == json.dumps(payload, indent=2)
+        big = {"n": [-(3**20000), {"m": 7**9000}], "k": "x"}
+        parsed = json.loads(
+            formats.format_json(big), parse_int=lambda s: int(Decimal(s))
+        )
+        assert parsed == big
 
 
 class TestPermCommands:
@@ -222,6 +250,31 @@ class TestCountTable:
         assert run(["table", "--max-n", "10"]) == 0
         assert capsys.readouterr().out == read("table10.txt")
 
+    def test_counts_print_in_full_past_the_digit_limit(self, capsys):
+        """Counts and totals here have more digits than str() allows."""
+        rep = counting.count_sortable(200)
+        assert run(["count", "--n", "200", "--json"]) == 0
+        payload = json.loads(
+            capsys.readouterr().out, parse_int=lambda s: int(Decimal(s))
+        )
+        assert payload["count"] == rep.count
+        assert payload["total"] == rep.total
+        num, den = payload["ratio"].split("/")
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == rep.ratio
+        assert run(["count", "--n", "200"]) == 0
+        assert int(Decimal(capsys.readouterr().out)) == rep.count
+
+    def test_table_prints_in_full_past_the_digit_limit(self, capsys):
+        last = counting.count_sortable(170)
+        assert run(["table", "--max-n", "170", "--json"]) == 0
+        payload = json.loads(
+            capsys.readouterr().out, parse_int=lambda s: int(Decimal(s))
+        )
+        assert payload["rows"][-1]["sortable"] == last.count
+        assert run(["table", "--max-n", "170"]) == 0
+        cells = capsys.readouterr().out.splitlines()[-1].split()
+        assert int(Decimal(cells[2])) == last.count
+
     def test_table_rejects_tiny(self, capsys):
         assert run(["table", "--max-n", "2"]) == 1
         assert capsys.readouterr().err.startswith("error:")
@@ -250,6 +303,22 @@ class TestCountTable:
             assert run(argv) == 1
             assert capsys.readouterr().err == (
                 "error: counts limited to n <= 2000, got 2001\n"
+            )
+
+
+    def test_tables_above_the_table_limit_fail_at_once(self, capsys, monkeypatch):
+        def no_terms(*args, **kwargs):
+            raise AssertionError("a count was computed")
+
+        monkeypatch.setattr(counting, "_closed_formula_terms", no_terms)
+        monkeypatch.setattr(counting, "_rank_counts", no_terms)
+        for argv in (
+            ["table", "--max-n", "351"],
+            ["table", "--max-n", "2000", "--json"],
+        ):
+            assert run(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: table limited to max-n <= 350, got {argv[2]}\n"
             )
 
 

@@ -17,6 +17,48 @@ def triangle() -> graphs.RootedGraph:
     return graphs.RootedGraph.from_edges(4, [(1, 2), (1, 3), (2, 3)])
 
 
+def consistent(equations: list[int], n: int) -> bool:
+    """Solvability of a GF(2) system; bit n of each equation is its rhs."""
+    rhs_bit = 1 << n
+    basis: dict[int, int] = {}
+    for eq in equations:
+        cur = eq
+        while cur & (rhs_bit - 1):
+            lead = (cur & (rhs_bit - 1)).bit_length() - 1
+            other = basis.get(lead)
+            if other is None:
+                basis[lead] = cur
+                cur = 0
+                break
+            cur ^= other
+        if cur == rhs_bit:
+            return False
+    return True
+
+
+def kernel_reaches_ends(rows: tuple[int, ...], n: int) -> bool:
+    """The census criterion graph by graph, as two feasibility problems:
+    some kernel vector is 1 at the first root and 0 at the last, and some
+    other is 0 at the first and 1 at the last. The bit-sliced census is
+    checked against this reference."""
+    first, last, rhs = 1, 1 << (n - 1), 1 << n
+    base = list(rows)
+    return consistent(base + [first | rhs, last], n) and consistent(
+        base + [first, last | rhs], n
+    )
+
+
+def lane_verdicts(n: int, lo: int) -> tuple[int, int, int]:
+    """(lanes, sortable mask, even-degree mask) of the census block at lo."""
+    bits = min(oracle.CENSUS_BLOCK_BITS, n * (n - 1) // 2)
+    sortable, even = oracle._block_lanes(n, lo, oracle._lane_patterns(bits))
+    return 1 << bits, sortable, even
+
+
+def is_even(rows: tuple[int, ...]) -> bool:
+    return not any(r.bit_count() & 1 for r in rows)
+
+
 class TestSearch:
     def test_pinned_permutations(self):
         assert not oracle.cds_sortable_bruteforce(EXAMPLE)
@@ -75,6 +117,43 @@ class TestCensus:
         assert oracle.census_bruteforce(4) == 17
         assert oracle.census_bruteforce(4, eulerian=True) == 5
         assert oracle.census_bruteforce(5) == 113
+
+    def test_pinned_counts_at_the_limit(self):
+        """With two workers the masks split into several lane blocks."""
+        for threads in (1, 2):
+            assert oracle.census_bruteforce(7, threads=threads) == 224689
+            assert oracle.census_bruteforce(7, eulerian=True, threads=threads) == 14509
+
+    def test_lanes_match_the_scalar_criterion(self):
+        for n in range(2, 7):
+            total = 1 << (n * (n - 1) // 2)
+            lanes = lane_verdicts(n, 0)[0]
+            for lo in range(0, total, lanes):
+                _, sortable, even = lane_verdicts(n, lo)
+                for i, rows in enumerate(oracle.graph_rows(n, lo, lo + lanes)):
+                    assert (sortable >> i) & 1 == kernel_reaches_ends(rows, n)
+                    assert (even >> i) & 1 == is_even(rows)
+
+    def test_lanes_match_the_move_search(self):
+        for n in range(2, 6):
+            _, sortable, _ = lane_verdicts(n, 0)
+            for i, rows in enumerate(oracle.graph_rows(n)):
+                g = graphs.RootedGraph(f2.F2Matrix.from_row_bits(rows, n))
+                assert (sortable >> i) & 1 == oracle.gcds_sortable_bruteforce(g)
+
+    def test_lanes_match_the_scalar_criterion_at_n7(self):
+        rng = random.Random(7)
+        lanes = 1 << oracle.CENSUS_BLOCK_BITS
+        blocks = {}
+        for _ in range(2000):
+            mask = rng.getrandbits(21)
+            lo = mask - mask % lanes
+            if lo not in blocks:
+                blocks[lo] = lane_verdicts(7, lo)
+            _, sortable, even = blocks[lo]
+            (rows,) = oracle.graph_rows(7, mask, mask + 1)
+            assert (sortable >> (mask - lo)) & 1 == kernel_reaches_ends(rows, 7)
+            assert (even >> (mask - lo)) & 1 == is_even(rows)
 
     def test_threads_do_not_change_the_answer(self):
         assert oracle.census_bruteforce(5, threads=2) == 113
