@@ -25,9 +25,9 @@ DEFAULT_OUT = os.path.join("reports", "eulerian_adjudication.md")
 _METHODS = ("closed_formula", "rank_sum")
 
 
-def build_report(max_n: int = 6, threads: int = 1) -> str:
+def build_report(max_n: int = 6) -> str:
     """Run the census and render the adjudication as markdown text."""
-    rows = eulerian_adjudication(max_n=max_n, threads=threads)
+    rows = eulerian_adjudication(max_n=max_n)
     always = [m for m in _METHODS if all(m in r["matches"] for r in rows)]
 
     lines = [
@@ -91,11 +91,9 @@ def build_report(max_n: int = 6, threads: int = 1) -> str:
     return "\n".join(lines)
 
 
-def write_report(
-    out_path: str = DEFAULT_OUT, max_n: int = 6, threads: int = 1
-) -> str:
+def write_report(out_path: str = DEFAULT_OUT, max_n: int = 6) -> str:
     """Build the report, write it to out_path, and return the text."""
-    text = build_report(max_n=max_n, threads=threads)
+    text = build_report(max_n=max_n)
     directory = os.path.dirname(out_path)
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -109,11 +107,10 @@ def main(argv: list[str] | None = None) -> int:
         description="Adjudicate the even-degree counting methods by census."
     )
     parser.add_argument("--max-n", type=int, default=6)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default=DEFAULT_OUT)
     args = parser.parse_args(argv)
     start = time.perf_counter()
-    text = write_report(args.out, max_n=args.max_n, threads=args.threads)
+    text = write_report(args.out, max_n=args.max_n)
     print(text, end="")
     print(f"census time: {time.perf_counter() - start:.2f}s", file=sys.stderr)
     print(f"wrote {args.out}", file=sys.stderr)

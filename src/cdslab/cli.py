@@ -25,14 +25,6 @@ _DATA_HELP = "literal text, a file path, or - for stdin (default: stdin)"
 TABLE_LIMIT = 350
 
 
-def _env_threads() -> int:
-    raw = os.environ.get("CDSLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _read_text(data: str | None) -> str:
     if data is None or data == "-":
         return sys.stdin.read()
@@ -320,9 +312,7 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     if args.method == "brute_force":
-        raw = oracle.census_bruteforce(
-            args.n, eulerian=args.eulerian, threads=args.threads
-        )
+        raw = oracle.census_bruteforce(args.n, eulerian=args.eulerian)
         rep = counting.CountReport.build(args.n, "brute_force", args.eulerian, raw)
     elif args.method == "rank_sum":
         rep = counting.count_sortable_rank_sum(args.n, eulerian=args.eulerian)
@@ -345,9 +335,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_rows(
-    max_n: int, brute: bool, threads: int
-) -> list[dict[str, object]]:
+def _table_rows(max_n: int, brute: bool) -> list[dict[str, object]]:
     rows: list[dict[str, object]] = []
     for n in range(3, max_n + 1):
         rep = counting.count_sortable(n)
@@ -362,7 +350,7 @@ def _table_rows(
             "eulerian_sortable_ranksum": eu_ranksum.count,
         }
         if brute:
-            row["brute_force"] = oracle.census_bruteforce(n, threads=threads)
+            row["brute_force"] = oracle.census_bruteforce(n)
         rows.append(row)
     return rows
 
@@ -399,7 +387,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise SizeLimitError(
             f"census limited to n <= {oracle.CENSUS_LIMIT}, got {args.max_n}"
         )
-    rows = _table_rows(args.max_n, args.brute_force, args.threads)
+    rows = _table_rows(args.max_n, args.brute_force)
     _emit(
         args,
         _render_table(rows),
@@ -409,9 +397,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify.run_suite(
-        args.suite, max_n=args.max_n, threads=args.threads
-    )
+    report = verify.run_suite(args.suite, max_n=args.max_n)
     if args.json:
         print(formats.format_json({"command": "verify", **report.to_json()}))
     else:
@@ -430,14 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit one JSON object instead of text",
     )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="T",
-        help="worker processes for brute-force runs "
-        "(default: CDSLAB_THREADS or 1)",
-    )
+    # ignored: kept only so existing command lines, the benchmark's too, parse
+    common.add_argument("--threads", type=int, help=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
         prog="cdslab",
@@ -568,7 +548,6 @@ def run(argv: "list[str] | None" = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    args.threads = max(1, args.threads or _env_threads())
     try:
         return args.func(args)
     except CdsLabError as exc:

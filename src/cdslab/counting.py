@@ -29,7 +29,6 @@ __all__ = [
     "count_sortable",
     "count_sortable_rank_sum",
     "proportion",
-    "proportion_term",
     "sqrt2_bounds",
     "convergence_report",
 ]
@@ -205,20 +204,6 @@ def _even_terms(n: int) -> tuple[list[int], int]:
     """Numerators of the series terms of x_n and their common denominator,
     the number of graphs on 2n vertices."""
     return _closed_formula_terms(2 * n, False), 1 << (n * (2 * n - 1))
-
-
-def proportion_term(n: int, s: int) -> Fraction:
-    """Term s of the even-index sortable density x_n (the density on 2n
-    vertices), as an exact rational.
-
-    Defined for 0 <= s <= n - 1; the terms sum to proportion(2n).
-    """
-    if n < 1:
-        raise ContractError(f"term needs n >= 1, got {n}")
-    if not 0 <= s <= n - 1:
-        raise ContractError(f"term index {s} out of range for n={n}")
-    row, total = _even_terms(n)
-    return Fraction(row[s], total)
 
 
 def sqrt2_bounds(bits: int = 70) -> tuple[Fraction, Fraction]:

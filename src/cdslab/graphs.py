@@ -14,17 +14,13 @@ from .errors import ContractError, InvalidMoveError, SizeLimitError
 __all__ = [
     "RootedGraph",
     "ParityCut",
-    "PARITY_CUT_FLAVORS",
     "gcds",
     "context_pairs",
     "is_eulerian",
     "is_gcds_sortable",
     "generalized_parity_cuts",
-    "is_parity_cut",
     "has_property",
 ]
-
-PARITY_CUT_FLAVORS = ("two_sided_root_even", "two_sided_general", "generalized")
 
 GENERALIZED_CUT_LIMIT = 24
 
@@ -191,57 +187,6 @@ def is_gcds_sortable(g: RootedGraph) -> bool:
     if g.n < 2:
         raise ContractError("sortability needs at least 2 vertices")
     return f2.is_mcds_sortable(g.adjacency)
-
-
-def _cut_mask(g: RootedGraph, cut: "f2.F2Vector | ParityCut | Iterable[int]") -> int:
-    n = g.n
-    if isinstance(cut, ParityCut):
-        cut = cut.vector
-    if isinstance(cut, f2.F2Vector):
-        if cut.n != n:
-            raise ContractError(f"cut length {cut.n} != vertex count {n}")
-        return cut.bits
-    mask = 0
-    for v in cut:
-        if not 0 <= v < n:
-            raise ContractError(f"cut vertex {v} out of range for size {n}")
-        mask |= 1 << v
-    return mask
-
-
-def is_parity_cut(
-    g: RootedGraph,
-    cut: "f2.F2Vector | ParityCut | Iterable[int]",
-    flavor: str = "two_sided_root_even",
-) -> bool:
-    """Test a vertex subset against one of three parity-cut notions.
-
-    two_sided_general: every non-root vertex has an even number of edges to
-    the opposite side of the partition; roots are unconstrained.
-    two_sided_root_even: as above, and both roots also have even cross-degree.
-    generalized: every vertex has an even number of edges INTO the subset,
-    which makes the subset a kernel vector of the adjacency matrix.
-    """
-    if flavor not in PARITY_CUT_FLAVORS:
-        raise ContractError(f"unknown parity-cut flavor {flavor!r}")
-    mask = _cut_mask(g, cut)
-    n = g.n
-    rows = g.adjacency.rows
-    full = (1 << n) - 1
-    for v in range(n):
-        if flavor == "generalized":
-            bad = (rows[v] & mask).bit_count() & 1
-        else:
-            if flavor == "two_sided_general" and v in (0, n - 1):
-                continue
-            if (mask >> v) & 1:
-                cross = rows[v] & (full ^ mask)
-            else:
-                cross = rows[v] & mask
-            bad = cross.bit_count() & 1
-        if bad:
-            return False
-    return True
 
 
 def generalized_parity_cuts(g: RootedGraph) -> list[ParityCut]:

@@ -6,8 +6,9 @@ from a local elimination routine, and move graphs are rebuilt by scanning
 pointer occurrences. The point is that the two sides can adjudicate each
 other at small sizes.
 
-The census is bit-sliced: it tests a block of 2^CENSUS_BLOCK_BITS graphs at
-once, graph i of the block in bit lane i of a Python int, with a GF(2)
+The census runs in one process and visits its blocks in order. It is
+bit-sliced: each block of 2^CENSUS_BLOCK_BITS graphs is tested at once,
+graph i of the block in bit lane i of a Python int, with a GF(2)
 elimination of its own that treats every lane alike.
 
 Each search memoizes by exact state in a table that lives for one call.
@@ -18,8 +19,6 @@ hold.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -34,7 +33,6 @@ __all__ = [
     "cds_move",
     "gcds_move",
     "cds_sortable_bruteforce",
-    "cds_sortable_search",
     "gcds_sortable_bruteforce",
     "gcds_sortable_search",
     "gcds_fixed_point_profile",
@@ -53,7 +51,7 @@ CUTS_LIMIT = 16
 N0_LIMIT = 5
 REALIZE_LIMIT = 6
 
-_FLAVORS = ("two_sided_root_even", "two_sided_general", "generalized")
+_FLAVORS = ("two_sided_root_even", "generalized")
 
 
 @dataclass(frozen=True)
@@ -141,29 +139,6 @@ def cds_sortable_bruteforce(pi: Permutation) -> bool:
     if len(pi) > SEARCH_LIMIT:
         raise SizeLimitError(f"search limited to n <= {SEARCH_LIMIT}, got {len(pi)}")
     return _cds_sortable(tuple(pi), set(), {})
-
-
-def cds_sortable_search(pi: Permutation) -> SearchStats:
-    """Breadth-first exploration of every permutation reachable by swaps."""
-    n = len(pi)
-    if n > SEARCH_LIMIT:
-        raise SizeLimitError(f"search limited to n <= {SEARCH_LIMIT}, got {n}")
-    target = tuple(range(1, n + 1))
-    start = tuple(pi)
-    seen = {start}
-    frontier = [start]
-    depth = 0
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for child in _perm_children(state):
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        if nxt:
-            depth += 1
-        frontier = nxt
-    return SearchStats(len(seen), depth, target in seen)
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +366,7 @@ def _block_lanes(n: int, lo: int, patterns: list[int]) -> tuple[int, int]:
     return full & ~inconsistent, even
 
 
-def _census_chunk(n: int, eulerian: bool, start: int, stop: int) -> int:
-    """Graphs counted in the edge masks [start, stop), whole lane blocks."""
-    bits = min(CENSUS_BLOCK_BITS, n * (n - 1) // 2)
-    patterns = _lane_patterns(bits)
-    count = 0
-    for lo in range(start, stop, 1 << bits):
-        sortable, even = _block_lanes(n, lo, patterns)
-        count += (sortable & even if eulerian else sortable).bit_count()
-    return count
-
-
-def census_bruteforce(n: int, eulerian: bool = False, threads: int = 1) -> int:
+def census_bruteforce(n: int, eulerian: bool = False) -> int:
     """Count sortable two-rooted graphs on n vertices by full enumeration.
 
     Every one of the 2^(n(n-1)/2) labeled graphs (roots first and last) is
@@ -411,28 +375,21 @@ def census_bruteforce(n: int, eulerian: bool = False, threads: int = 1) -> int:
     n <= 6. The test is bit-sliced: a block of 2^CENSUS_BLOCK_BITS
     consecutive edge masks is one Python int per matrix entry, bit i of it
     for mask lo + i, and the elimination runs on all lanes at once. The
-    Eulerian census adds an even-degree lane mask. Blocks are split over at
-    most os.cpu_count() worker processes, however many threads are asked
-    for; the census is fast enough that this helps only at n = 7.
+    Eulerian census adds an even-degree lane mask. One process visits the
+    blocks in order; n = 7 is 512 blocks and takes about 0.1 s.
     """
     if n < 2:
         raise ContractError(f"census needs n >= 2, got {n}")
     if n > CENSUS_LIMIT:
         raise SizeLimitError(f"census limited to n <= {CENSUS_LIMIT}, got {n}")
     pairs = n * (n - 1) // 2
-    total = 1 << pairs
-    threads = min(threads, os.cpu_count() or 1)
-    if threads <= 1:
-        return _census_chunk(n, eulerian, 0, total)
-    block = 1 << min(CENSUS_BLOCK_BITS, pairs)
-    parts = threads * 4
-    bounds = sorted({block * (total // block * i // parts) for i in range(parts + 1)})
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_census_chunk, n, eulerian, lo, hi)
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        return sum(f.result() for f in futures)
+    bits = min(CENSUS_BLOCK_BITS, pairs)
+    patterns = _lane_patterns(bits)
+    count = 0
+    for lo in range(0, 1 << pairs, 1 << bits):
+        sortable, even = _block_lanes(n, lo, patterns)
+        count += (sortable & even if eulerian else sortable).bit_count()
+    return count
 
 
 def parity_cuts_bruteforce(
@@ -441,9 +398,8 @@ def parity_cuts_bruteforce(
     """All vertex subsets passing the flavor's definition, by full scan.
 
     Flavors: "generalized" asks that every vertex has an even number of
-    neighbors inside the subset; the two-sided flavors ask that vertices
-    have even degree across the bipartition, at every vertex
-    ("two_sided_root_even") or at non-roots only ("two_sided_general").
+    neighbors inside the subset; "two_sided_root_even" asks that every
+    vertex has even degree across the bipartition.
     """
     if flavor not in _FLAVORS:
         raise ContractError(f"unknown parity-cut flavor {flavor!r}")
@@ -452,15 +408,12 @@ def parity_cuts_bruteforce(
         raise SizeLimitError(f"cut scan limited to n <= {CUTS_LIMIT}, got {n}")
     rows = g.adjacency.rows
     full = (1 << n) - 1
-    skip = {0, n - 1} if flavor == "two_sided_general" else set()
     out = []
     for mask in range(1 << n):
         ok = True
         for v in range(n):
             if flavor == "generalized":
                 cross = rows[v] & mask
-            elif v in skip:
-                continue
             else:
                 side = mask if not (mask >> v) & 1 else full & ~mask
                 cross = rows[v] & side

@@ -218,11 +218,11 @@ def _suite_table(max_n: int) -> list[CheckLine]:
     return out
 
 
-def _suite_census(max_n: int, threads: int) -> list[CheckLine]:
+def _suite_census(max_n: int) -> list[CheckLine]:
     out = []
     for n in range(3, min(max_n, oracle.CENSUS_LIMIT) + 1):
         t0 = time.perf_counter()
-        brute = oracle.census_bruteforce(n, threads=threads)
+        brute = oracle.census_bruteforce(n)
         dt = time.perf_counter() - t0
         closed = counting.count_sortable(n).count
         ranks = counting.count_sortable_rank_sum(n).count
@@ -236,9 +236,7 @@ def _suite_census(max_n: int, threads: int) -> list[CheckLine]:
     return out
 
 
-def eulerian_adjudication(
-    max_n: int = 6, threads: int = 1
-) -> list[dict[str, object]]:
+def eulerian_adjudication(max_n: int = 6) -> list[dict[str, object]]:
     """Exhaustive Eulerian census against both counting methods, per size.
 
     Each row records the census count, the two computed counts, and which
@@ -248,7 +246,7 @@ def eulerian_adjudication(
     rows: list[dict[str, object]] = []
     for n in range(3, min(max_n, oracle.CENSUS_LIMIT) + 1):
         t0 = time.perf_counter()
-        census = oracle.census_bruteforce(n, eulerian=True, threads=threads)
+        census = oracle.census_bruteforce(n, eulerian=True)
         dt = time.perf_counter() - t0
         closed = counting.count_sortable(n, eulerian=True).count
         ranks = counting.count_sortable_rank_sum(n, eulerian=True).count
@@ -270,9 +268,9 @@ def eulerian_adjudication(
     return rows
 
 
-def _suite_eulerian(max_n: int, threads: int) -> list[CheckLine]:
+def _suite_eulerian(max_n: int) -> list[CheckLine]:
     out = []
-    rows = eulerian_adjudication(max_n, threads)
+    rows = eulerian_adjudication(max_n)
     for row in rows:
         n = row["n"]
         matches = row["matches"]
@@ -1051,10 +1049,7 @@ def _suite_random(max_n: int) -> list[CheckLine]:
 # registry
 
 
-_SuiteFn = Callable[..., "list[CheckLine]"]
-
-# Only the census suites run worker processes; the rest take max_n alone.
-_THREADED = ("census", "eulerian")
+_SuiteFn = Callable[[int], "list[CheckLine]"]
 
 _SUITES: dict[str, tuple[_SuiteFn, int, str]] = {
     "table": (
@@ -1134,14 +1129,7 @@ def available_suites() -> list[tuple[str, str]]:
     return rows
 
 
-def _checks(name: str, max_n: int, threads: int) -> list[CheckLine]:
-    fn = _SUITES[name][0]
-    return fn(max_n, threads) if name in _THREADED else fn(max_n)
-
-
-def run_suite(
-    name: str, max_n: int | None = None, threads: int = 1
-) -> SuiteReport:
+def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
     """Run one named suite and collect its check lines.
 
     ``all`` runs every suite at its default size (max_n is ignored there,
@@ -1149,11 +1137,10 @@ def run_suite(
     ContractError.
     """
     start = time.perf_counter()
-    threads = max(1, threads)
     if name == "all":
         checks: list[CheckLine] = []
-        for sub, (_fn, default, _desc) in _SUITES.items():
-            for line in _checks(sub, default, threads):
+        for sub, (fn, default, _desc) in _SUITES.items():
+            for line in fn(default):
                 checks.append(
                     CheckLine(f"{sub}: {line.name}", line.passed, line.detail)
                 )
@@ -1166,11 +1153,11 @@ def run_suite(
     if name not in _SUITES:
         known = ", ".join(SUITE_NAMES)
         raise ContractError(f"unknown suite {name!r}; available: {known}")
-    default = _SUITES[name][1]
+    fn, default, _desc = _SUITES[name]
     effective = default if max_n is None else max_n
     if effective < 1:
         raise ContractError(f"max_n must be positive, got {effective}")
-    checks = _checks(name, effective, threads)
+    checks = fn(effective)
     return SuiteReport(
         suite=name,
         max_n=effective,

@@ -15,7 +15,6 @@ from cdslab.counting import (
     count_sortable_rank_sum,
     macwilliams_count,
     proportion,
-    proportion_term,
     sortable_extensions_count,
     sqrt2_bounds,
 )
@@ -221,23 +220,17 @@ class TestMacWilliams:
 
 class TestConvergence:
     def test_terms_sum_to_the_density(self):
+        terms = convergence_report(20).terms
         for n in range(2, 7):
-            total = sum(
-                (proportion_term(n, s) for s in range(n)), Fraction(0)
-            )
+            total = sum((terms[(n, s)] for s in range(n)), Fraction(0))
             assert total == proportion(2 * n)
             assert total == count_sortable_rank_sum(2 * n).ratio
 
     def test_terms_match_the_fraction_products(self):
+        terms = convergence_report(20).terms
         for n in range(1, 21):
             for s in range(n):
-                assert proportion_term(n, s) == ref_proportion_term(n, s)
-
-    def test_term_range(self):
-        with pytest.raises(ContractError):
-            proportion_term(3, 3)
-        with pytest.raises(ContractError):
-            proportion_term(0, 0)
+                assert terms[(n, s)] == ref_proportion_term(n, s)
 
     def test_sqrt2_sandwich(self):
         lo, hi = sqrt2_bounds()

@@ -4,11 +4,14 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+import cdslab
 from cdslab import counting, f2, formats, oracle, perms, verify
 from cdslab.cli import run
 from cdslab.errors import ContractError
@@ -355,7 +358,25 @@ class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert run(["perm"]) == 2
 
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CDSLAB_THREADS", "2")
-        assert run(["count", "--n", "5", "--method", "brute_force"]) == 0
-        assert capsys.readouterr().out.strip() == "113"
+    def test_threads_flag_is_accepted_and_ignored(self, capsys):
+        base = ["count", "--n", "5", "--method", "brute_force"]
+        for extra in (["--threads", "1"], ["--threads", "4"], []):
+            assert run(base + extra) == 0
+            assert capsys.readouterr().out.strip() == "113"
+
+    def test_import_loads_no_process_pool(self):
+        src = os.path.dirname(os.path.dirname(cdslab.__file__))
+        code = (
+            "import cdslab.cli, sys; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing' "
+            "or m.startswith('concurrent.futures')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
