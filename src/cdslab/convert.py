@@ -5,10 +5,24 @@ pointer); its precedence matrix is (n+2) x (n+2) (one row per framed value,
 entry (r, c) = 1 iff value r comes before value c). The two are linked by a
 small transform calculus: an upper-bidiagonal ones matrix, a corner
 embedding, a 2x2-window XOR, and a running prefix XOR.
+
+Realization rests on one identity. prefix_xor is linear over GF(2): a bit
+at (r, c) spreads to every (i >= r, j >= c). The candidate adjacencies of a
+move graph M of size n-1 differ only in their border (v, u, x), so with S
+the prefix rows of the fixed part (the corner, M shifted in, the
+bidiagonal), V = rp(v << 2) and U = rp(u << 2), where rp(w) sets bit j to
+the XOR of bits 0..j of w, the candidate's precedence row i >= 1 is
+
+    S_i ^ V ^ [V_i] ones(1..n+1) ^ [U_i ^ x] e_{n+1}
+        ^ [i = n+1] (U ^ [x] ones(1..n+1))
+
+and row 0 is S_0. Bit i of V is the parity of v_0..v_{i-2} (the border
+entries of rows 1..i-1 of the adjacency), and bit i of U likewise of u, so
+each candidate costs O(n) big-int operations.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Sequence
 
 from . import f2, perms
 from .errors import ContractError
@@ -65,20 +79,23 @@ def prefix_xor(a: f2.F2Matrix) -> f2.F2Matrix:
     """
     if not a.is_square:
         raise ContractError(f"need a square matrix, got {a.shape}")
-    n = a.nrows
     rows = []
     acc = 0
-    mask = (1 << n) - 1
     for r in a.rows:
         acc ^= r
-        # Prefix XOR along the row: fold the accumulated column bits left.
-        p = acc
-        shift = 1
-        while shift < n:
-            p ^= (p << shift) & mask
-            shift <<= 1
-        rows.append(p & mask)
-    return f2.F2Matrix.from_row_bits(rows, n)
+        rows.append(_row_prefix(acc, a.ncols))
+    return f2.F2Matrix.from_row_bits(rows, a.ncols)
+
+
+def _row_prefix(w: int, width: int) -> int:
+    """Prefix XOR along one row: bit j becomes the XOR of bits 0..j of w,
+    for w below 2^width."""
+    mask = (1 << width) - 1
+    shift = 1
+    while shift < width:
+        w ^= (w << shift) & mask
+        shift <<= 1
+    return w
 
 
 def adjacency_to_precedence(a: f2.F2Matrix) -> f2.F2Matrix:
@@ -104,18 +121,17 @@ def precedence_to_adjacency(p: f2.F2Matrix) -> f2.F2Matrix:
     return window_xor(p) + bidiagonal_ones(p.nrows - 1)
 
 
-def _total_order(c: f2.F2Matrix) -> list[int] | None:
-    """The total order whose precedence matrix is c, earliest first, or None.
+def _total_order(rows: Sequence[int]) -> list[int] | None:
+    """The total order whose precedence matrix has these rows, earliest
+    first, or None.
 
-    Rows sorted by falling weight give the only candidate order; c is its
-    precedence matrix iff every row is the mask of the rows after it.
+    Rows sorted by falling weight give the only candidate order; the rows
+    form its precedence matrix iff every row is the mask of the rows after it.
     """
-    if not c.is_square:
-        return None
-    order = sorted(range(c.nrows), key=lambda r: -c.rows[r].bit_count())
+    order = sorted(range(len(rows)), key=lambda r: -rows[r].bit_count())
     after = 0
     for r in reversed(order):
-        if c.rows[r] != after:
+        if rows[r] != after:
             return None
         after |= 1 << r
     return order
@@ -125,7 +141,7 @@ def is_precedence_matrix(c: f2.F2Matrix) -> bool:
     """Membership test for precedence matrices of total orders (equivalently:
     zero diagonal, exactly one of (i,j)/(j,i) set for i != j, and the
     INTEGER row sums a permutation of 0..n-1)."""
-    return _total_order(c) is not None
+    return c.is_square and _total_order(c.rows) is not None
 
 
 def permutation_from_precedence(p: f2.F2Matrix) -> perms.Permutation:
@@ -134,7 +150,7 @@ def permutation_from_precedence(p: f2.F2Matrix) -> perms.Permutation:
     Row r holds value r; larger integer row sum means earlier position. The
     framed order must start at 0 and end at n+1.
     """
-    order = _total_order(p)
+    order = _total_order(p.rows) if p.is_square else None
     if order is None:
         raise ContractError("not a precedence matrix of a total order")
     m = p.nrows
@@ -145,58 +161,62 @@ def permutation_from_precedence(p: f2.F2Matrix) -> perms.Permutation:
     return perms.Permutation(order[1:-1])
 
 
-def _realize_candidates(m: f2.F2Matrix) -> "Iterable[tuple[int, f2.F2Matrix]]":
-    """Candidate full adjacencies for a move graph, in tie-break order.
-
-    Hypothesis i in 1..n: value i is the last element of the witness. The
-    first-column central part v is then forced: v_j = (sum of column j of the
-    move graph over rows < i) + [j == i], the last column follows from the
-    even-row closure u = v + M*1, and only the corner bit x remains free.
-    """
-    k = m.nrows  # move graph size, = n - 1
-    n = k + 1
-    ones = (1 << k) - 1
-    mu = m.mat_vec(f2.F2Vector.from_bits(ones, k)).bits if k else 0
-    for i in range(1, n + 1):
-        v = 0
-        for row in range(min(i - 1, k)):
-            v ^= m.rows[row]
-        if i <= k:
-            v ^= 1 << (i - 1)
-        u = v ^ mu
-        for x in (0, 1):
-            # Assemble [[0, v^T, x], [v, M, u], [x, u^T, 0]].
-            rows = [0] * (n + 1)
-            rows[0] = (v << 1) | (x << n)
-            for j in range(k):
-                rows[j + 1] = (
-                    ((v >> j) & 1)
-                    | (m.rows[j] << 1)
-                    | (((u >> j) & 1) << n)
-                )
-            rows[n] = x | (u << 1)
-            yield i * 2 + x, f2.F2Matrix.from_row_bits(rows, n + 1)
-
-
 def realize_move_graph(m: f2.F2Matrix) -> perms.Permutation | None:
     """Find a permutation whose move graph (non-root pointer overlap
     adjacency) equals the given (n-1) x (n-1) matrix, or None.
 
-    Vertex i of the move graph is pointer i+1. Every returned witness is
-    re-verified against the input, so a wrong candidate can only cost
-    completeness, never soundness; candidates are tried in ascending
-    tie-break order and the first verified one wins. Runs in polynomial time
-    (O(n) candidates, O(n^2) work each).
+    Vertex i of the move graph is pointer i+1. Hypothesis i in 1..n: value
+    i is the last element of the witness. The first-column central part v
+    of the full adjacency is then forced: v_j = (sum of column j of the
+    move graph over rows < i) + [j == i], the last column follows from the
+    even-row closure u = v + M*1, and only the corner bit x remains free.
+    Each candidate [[0, v^T, x], [v, M, u], [x, u^T, 0]] goes to precedence
+    rows by the shared-prefix identity in the module docstring.
+
+    Every returned witness is re-verified against the input, so a wrong
+    candidate can only cost completeness, never soundness; candidates are
+    tried in ascending (i, x) order and the first verified one wins. Cost:
+    one O(n^2) check of the input, 2n candidates of O(n) big-int
+    operations each, and an O(n^2) witness check for each candidate that
+    passes the order test.
     """
     if not m.is_square or m.nrows < 1:
         raise ContractError(f"move graph must be square and non-empty, got {m.shape}")
     if not m.is_symmetric() or not m.is_zero_diagonal():
         raise ContractError("move graph must be symmetric with a zero diagonal")
-    for _, cand in _realize_candidates(m):
-        try:
-            pi = permutation_from_precedence(adjacency_to_precedence(cand))
-        except ContractError:
-            continue
-        if perms.move_graph(pi) == m:
-            return pi
+    k = m.nrows  # move graph size, = n - 1
+    n = k + 1
+    size = n + 2  # framed precedence size
+    last = 1 << (size - 1)
+    from_one = (1 << size) - 2
+    fixed = f2.F2Matrix.from_row_bits([0, *(r << 1 for r in m.rows), 0], n + 1)
+    shared = prefix_xor(corner_embed(fixed) + bidiagonal_ones(size)).rows
+    mu = m.mat_vec(f2.F2Vector.from_bits((1 << k) - 1, k)).bits
+    above = 0  # XOR of the move graph's rows above hypothesis i
+    for i in range(1, n + 1):
+        if i >= 2:
+            above ^= m.rows[i - 2]
+        v = above ^ (1 << (i - 1)) if i <= k else above
+        vp = _row_prefix(v << 2, size)
+        up = _row_prefix((v ^ mu) << 2, size)
+        rows = [shared[0]]
+        for r in range(1, size):
+            row = shared[r] ^ vp
+            if vp >> r & 1:
+                row ^= from_one
+            if up >> r & 1:
+                row ^= last
+            rows.append(row)
+        rows[-1] ^= up
+        for x in (0, 1):
+            if x:
+                # the corner bit's terms of the identity in the module docstring
+                rows = [rows[0], *(row ^ last for row in rows[1:])]
+                rows[-1] ^= from_one
+            order = _total_order(rows)
+            if order is None or order[0] != 0 or order[-1] != n + 1:
+                continue
+            pi = perms.Permutation(order[1:-1])
+            if perms.move_graph(pi) == m:
+                return pi
     return None

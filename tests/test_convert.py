@@ -9,7 +9,7 @@ from itertools import permutations
 
 import pytest
 
-from cdslab import convert, f2, formats, perms
+from cdslab import convert, f2, formats, oracle, perms
 from cdslab.errors import ContractError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -126,7 +126,87 @@ class TestPrecedencePredicate:
             convert.permutation_from_precedence(flipped)
 
 
+def _reference_realize(m: f2.F2Matrix) -> perms.Permutation | None:
+    """Reference for realize_move_graph: every candidate adjacency is built
+    in full, in (i, x) order, and goes through the public, checked
+    conversions; the first verified witness wins."""
+    k = m.nrows
+    n = k + 1
+    mu = m.mat_vec(f2.F2Vector.from_bits((1 << k) - 1, k)).bits
+    for i in range(1, n + 1):
+        v = 0
+        for row in range(min(i - 1, k)):
+            v ^= m.rows[row]
+        if i <= k:
+            v ^= 1 << (i - 1)
+        u = v ^ mu
+        for x in (0, 1):
+            # Assemble [[0, v^T, x], [v, M, u], [x, u^T, 0]].
+            rows = [0] * (n + 1)
+            rows[0] = (v << 1) | (x << n)
+            for j in range(k):
+                rows[j + 1] = (
+                    ((v >> j) & 1)
+                    | (m.rows[j] << 1)
+                    | (((u >> j) & 1) << n)
+                )
+            rows[n] = x | (u << 1)
+            cand = f2.F2Matrix.from_row_bits(rows, n + 1)
+            try:
+                pi = convert.permutation_from_precedence(
+                    convert.adjacency_to_precedence(cand)
+                )
+            except ContractError:
+                continue
+            if perms.move_graph(pi) == m:
+                return pi
+    return None
+
+
+def flip_one_pair(m: f2.F2Matrix, rng: random.Random) -> f2.F2Matrix:
+    """m with one random off-diagonal pair flipped, as the benchmark's M'."""
+    i, j = rng.sample(range(m.nrows), 2)
+    rows = list(m.rows)
+    rows[i] ^= 1 << j
+    rows[j] ^= 1 << i
+    return f2.F2Matrix.from_row_bits(rows, m.nrows)
+
+
+def seeded_move_graphs(n: int, count: int, seed: str):
+    """(M, M') pairs: the move graph of a seeded permutation of n, and M
+    with one pair flipped."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        elements = list(range(1, n + 1))
+        rng.shuffle(elements)
+        m = perms.move_graph(perms.Permutation(elements))
+        yield m, flip_one_pair(m, rng)
+
+
 class TestRealize:
+    def test_matches_the_reference_on_every_small_matrix(self):
+        for k in range(1, 6):
+            for rows in oracle.graph_rows(k):
+                m = f2.F2Matrix.from_row_bits(rows, k)
+                assert convert.realize_move_graph(m) == _reference_realize(m)
+
+    def test_matches_the_reference_at_larger_n(self):
+        for n in (16, 32, 64, 100):
+            for m, flipped in seeded_move_graphs(n, 3, f"realize:{n}"):
+                witness = convert.realize_move_graph(m)
+                assert witness is not None
+                assert witness == _reference_realize(m)
+                assert convert.realize_move_graph(flipped) == _reference_realize(
+                    flipped
+                )
+
+    def test_large_inputs(self):
+        (m, flipped), = seeded_move_graphs(400, 1, "realize:400")
+        witness = convert.realize_move_graph(m)
+        assert witness is not None and perms.move_graph(witness) == m
+        answer = convert.realize_move_graph(flipped)
+        assert answer is None or perms.move_graph(answer) == flipped
+
     def test_roundtrip_on_derived_graphs(self):
         for tup in permutations(range(1, 6)):
             pi = perms.Permutation(tup)

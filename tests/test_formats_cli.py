@@ -15,6 +15,7 @@ import cdslab
 from cdslab import counting, f2, formats, oracle, perms, verify
 from cdslab.cli import run
 from cdslab.errors import ContractError
+from test_convert import _reference_realize, seeded_move_graphs
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -224,6 +225,19 @@ class TestConvertRealize:
     def test_realize_unrealizable(self, capsys):
         assert run(["realize", "011\n100\n100\n"]) == 1
         assert capsys.readouterr().out.strip() == "UNREALIZABLE"
+
+    def test_realize_json_on_a_flipped_move_graph(self, capsys):
+        # the benchmark's M': a 64-vertex move graph with one pair flipped
+        (_, flipped), = seeded_move_graphs(65, 1, "cli-realize")
+        expected = _reference_realize(flipped)
+        code = run(["realize", formats.format_matrix(flipped), "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == (1 if expected is None else 0)
+        assert payload == {
+            "command": "realize",
+            "realizable": expected is not None,
+            "witness": None if expected is None else list(expected.elements),
+        }
 
 
 class TestCountTable:

@@ -3,6 +3,7 @@
 from hypothesis import assume, given, settings, strategies as st
 
 from cdslab import convert, f2, formats, graphs, perms
+from test_convert import _reference_realize, flip_one_pair
 
 
 @st.composite
@@ -123,6 +124,15 @@ def test_realize_inverts_the_move_graph(pi):
     witness = convert.realize_move_graph(m)
     assert witness is not None
     assert perms.move_graph(witness) == m
+
+
+@settings(deadline=None)
+@given(random_permutations(min_n=2, max_n=12), st.data())
+def test_realize_matches_the_reference(pi, data):
+    m = perms.move_graph(pi)
+    if m.nrows >= 2 and data.draw(st.booleans()):
+        m = flip_one_pair(m, data.draw(st.randoms(use_true_random=False)))
+    assert convert.realize_move_graph(m) == _reference_realize(m)
 
 
 @settings(deadline=None)
