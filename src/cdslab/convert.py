@@ -169,16 +169,19 @@ def realize_move_graph(m: f2.F2Matrix) -> perms.Permutation | None:
     i is the last element of the witness. The first-column central part v
     of the full adjacency is then forced: v_j = (sum of column j of the
     move graph over rows < i) + [j == i], the last column follows from the
-    even-row closure u = v + M*1, and only the corner bit x remains free.
-    Each candidate [[0, v^T, x], [v, M, u], [x, u^T, 0]] goes to precedence
-    rows by the shared-prefix identity in the module docstring.
+    even-row closure u = v + M*1, and the corner bit x is the parity of v:
+    the framed order needs an all-zero last precedence row, and that row is
+    zero only when every adjacency row, row 0 = [0, v^T, x] included, has
+    even weight. Each candidate [[0, v^T, x], [v, M, u], [x, u^T, 0]] goes
+    to precedence rows by the shared-prefix identity in the module
+    docstring.
 
     Every returned witness is re-verified against the input, so a wrong
     candidate can only cost completeness, never soundness; candidates are
-    tried in ascending (i, x) order and the first verified one wins. Cost:
-    one O(n^2) check of the input, 2n candidates of O(n) big-int
-    operations each, and an O(n^2) witness check for each candidate that
-    passes the order test.
+    tried in ascending i order and the first verified one wins. Cost: one
+    O(n^2) check of the input, n candidates of O(n) big-int operations
+    each, and an O(n^2) witness check for each candidate that passes the
+    order test.
     """
     if not m.is_square or m.nrows < 1:
         raise ContractError(f"move graph must be square and non-empty, got {m.shape}")
@@ -199,24 +202,20 @@ def realize_move_graph(m: f2.F2Matrix) -> perms.Permutation | None:
         v = above ^ (1 << (i - 1)) if i <= k else above
         vp = _row_prefix(v << 2, size)
         up = _row_prefix((v ^ mu) << 2, size)
+        x = v.bit_count() & 1
         rows = [shared[0]]
         for r in range(1, size):
             row = shared[r] ^ vp
             if vp >> r & 1:
                 row ^= from_one
-            if up >> r & 1:
+            if (up >> r ^ x) & 1:
                 row ^= last
             rows.append(row)
-        rows[-1] ^= up
-        for x in (0, 1):
-            if x:
-                # the corner bit's terms of the identity in the module docstring
-                rows = [rows[0], *(row ^ last for row in rows[1:])]
-                rows[-1] ^= from_one
-            order = _total_order(rows)
-            if order is None or order[0] != 0 or order[-1] != n + 1:
-                continue
-            pi = perms.Permutation(order[1:-1])
-            if perms.move_graph(pi) == m:
-                return pi
+        rows[-1] ^= up ^ (from_one if x else 0)
+        order = _total_order(rows)
+        if order is None or order[0] != 0 or order[-1] != n + 1:
+            continue
+        pi = perms.Permutation(order[1:-1])
+        if perms.move_graph(pi) == m:
+            return pi
     return None

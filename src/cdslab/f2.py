@@ -107,9 +107,6 @@ class F2Vector:
     def support(self) -> tuple[int, ...]:
         return tuple(j for j in range(self.n) if (self.bits >> j) & 1)
 
-    def tolist(self) -> list[int]:
-        return [(self.bits >> j) & 1 for j in range(self.n)]
-
     def __repr__(self) -> str:
         return f"F2Vector([{', '.join(str(b) for b in self)}])"
 

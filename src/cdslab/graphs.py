@@ -105,10 +105,6 @@ class RootedGraph:
                 v += 1
         return tuple(out)
 
-    @property
-    def is_edgeless(self) -> bool:
-        return all(r == 0 for r in self.adjacency.rows)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RootedGraph):
             return NotImplemented

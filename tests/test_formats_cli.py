@@ -365,6 +365,74 @@ class TestVerifyCommand:
         )
 
 
+    def test_kernel_blocks_distance_lines_are_pinned(self):
+        for suite, lines in PINNED_LINES.items():
+            report = verify.run_suite(suite, max_n=5)
+            got = [(c.name, c.passed, c.detail) for c in report.checks]
+            assert got == lines, suite
+
+
+# Every check line of three suites at max_n = 5: names, order, outcomes and
+# details. A refactor that drops, renames or reorders a line fails here.
+_SWAPS = " moves; even degrees and root separation preserved"
+_PLACEMENT = " graphs: separation xor containment, separation iff sortable"
+_SEQUENCES = (
+    " sortable; every maximal sequence has length rank/2, "
+    "ends edgeless iff sortable"
+)
+_EXTENSIONS = "4^rank sortable, 2^rank even-degree sortable"
+PINNED_LINES = {
+    "kernel": [
+        ("generalized cuts vs scan n=2", True, ""),
+        ("generalized cuts vs scan n=3", True, ""),
+        ("generalized cuts vs scan n=4", True, ""),
+        ("generalized cuts vs scan n=5", True, ""),
+        ("eulerian cut space equals kernel n=2", True, "1 graphs"),
+        ("eulerian cut space equals kernel n=3", True, "2 graphs"),
+        ("eulerian cut space equals kernel n=4", True, "8 graphs"),
+        ("eulerian cut space equals kernel n=5", True, "64 graphs"),
+        ("cut correspondence under swaps n=2", True, "0" + _SWAPS),
+        ("cut correspondence under swaps n=3", True, "0" + _SWAPS),
+        ("cut correspondence under swaps n=4", True, "32" + _SWAPS),
+        ("cut correspondence under swaps n=5", True, "1536" + _SWAPS),
+        ("cycle vectors orthogonal n<=5", True, ""),
+        ("cycle vectors span overlap kernel n<=5", True, "153 permutations"),
+        ("cycle unions are root-even cuts n<=5", True, ""),
+        ("pile vector central-kernel membership n<=5", True, "62 nonempty piles"),
+        ("sortable kernels need no end rows n<=5", True, "91 sortable permutations"),
+        ("no overlap graph separates roots oddly n<=5", True, ""),
+        ("eulerian root placement n=2", True, "1" + _PLACEMENT),
+        ("eulerian root placement n=3", True, "2" + _PLACEMENT),
+        ("eulerian root placement n=4", True, "8" + _PLACEMENT),
+        ("eulerian root placement n=5", True, "64" + _PLACEMENT),
+    ],
+    "blocks": [
+        ("border form symmetric t<=3", True, ""),
+        ("bordering equality matches kernel offsets t<=3", True, ""),
+        ("complement bordering rule n<=5", True, "36 solvable instances"),
+        ("sortable decomposition n=2", True, "1 sortable graphs"),
+        ("sortable decomposition n=3", True, "1 sortable graphs"),
+        ("sortable decomposition n=4", True, "17 sortable graphs"),
+        ("sortable decomposition n=5", True, "113 sortable graphs"),
+        ("sampled decomposition n<=5", True, "0 random bordered graphs"),
+        ("extension counts t=0", True, _EXTENSIONS),
+        ("extension counts t=1", True, _EXTENSIONS),
+        ("extension counts t=2", True, _EXTENSIONS),
+        ("extension counts t=3", True, _EXTENSIONS),
+    ],
+    "distance": [
+        ("maximal sequences n=2", True, "2 graphs, 1" + _SEQUENCES),
+        ("maximal sequences n=3", True, "8 graphs, 1" + _SEQUENCES),
+        ("maximal sequences n=4", True, "64 graphs, 17" + _SEQUENCES),
+        ("maximal sequences n=5", True, "1024 graphs, 113" + _SEQUENCES),
+        ("search depth bound n=2", True, ""),
+        ("search depth bound n=3", True, ""),
+        ("search depth bound n=4", True, ""),
+        ("search depth bound n=5", True, ""),
+    ],
+}
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2

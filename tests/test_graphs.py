@@ -43,8 +43,8 @@ class TestRootedGraph:
         assert g.neighbors(1) == (2, 3)
         assert g.has_edge(2, 3) and not g.has_edge(0, 1)
         assert g.edges() == ((1, 2), (1, 3), (2, 3))
-        assert not g.is_edgeless
-        assert RootedGraph.from_edges(2, []).is_edgeless
+        assert any(g.adjacency.rows)
+        assert not any(RootedGraph.from_edges(2, []).adjacency.rows)
 
     def test_validation(self):
         with pytest.raises(ContractError):
@@ -79,7 +79,7 @@ class TestGcds:
 
     def test_sorts_the_triangle(self):
         out = gcds(triangle(), 1, 2)
-        assert out.is_edgeless
+        assert not any(out.adjacency.rows)
 
     def test_isolates_the_context(self):
         out = gcds(example_graph(), 1, 4)
