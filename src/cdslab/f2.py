@@ -2,9 +2,30 @@
 
 Vectors and matrix rows are Python ints used as bitsets: bit j is column j.
 All indices are 0-based.
+
+The kernels work a machine word's worth of bits, or more, per big-int
+operation, rather than one bit per Python step:
+
+- `F2Matrix.transpose` cuts the matrix into square tiles whose side N is the
+  next power of two of the shorter side, at least 8, and packs them end to
+  end into one int, N * N bits per tile with entry (i, j) at bit i * N + j.
+  log2 N masked block swaps, t = ((x >> s) ^ x) & mask; x ^= t ^ (t << s),
+  with s = k (N - 1) for k = N/2, ..., 1, transpose every tile at once
+  (H. S. Warren, *Hacker's Delight*, 2nd ed., section 7-3, "Transposing a
+  bit matrix"). Rows are packed and read back through bytes. A wide or tall
+  matrix needs memory within a small factor of its own size. The masks of
+  tile sides up to 1024 are kept, under 2 MB in all; larger ones are built
+  one round at a time, so only one is alive.
+- `rank` runs only the forward pass of Gaussian elimination, which clears
+  each pivot column below its pivot row. `kernel_basis` and `solve_linear`
+  share that pass and add back-substitution, giving the reduced row echelon
+  form. The pivot order is the same as in full elimination, and the reduced
+  form is unique, so kernel bases and solutions are those of full
+  elimination bit for bit.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ContractError, InternalInvariantError, InvalidMoveError
@@ -111,6 +132,46 @@ class F2Vector:
         return f"F2Vector([{', '.join(str(b) for b in self)}])"
 
 
+# the columns j with j & s set, as one byte, for block sizes s below a byte
+_LOW_PATTERN = {1: 0xAA, 2: 0xCC, 4: 0xF0}
+
+
+def _tile_rounds(side: int) -> Iterator[tuple[int, int]]:
+    """(shift, mask) for each round of the block-swap transpose of one tile.
+
+    The round for block size s swaps the bit of weight s in the row index
+    with the one in the column index: entry (i, j) with i & s clear and
+    j & s set, at bit i * side + j of the tile, trades places with entry
+    (i + s, j - s), which sits shift = s * (side - 1) bits higher. The masks
+    are built from repeated bytes, one round at a time, so a large side
+    keeps one side * side bit mask alive, not all log2(side) of them.
+    """
+    width = side // 8
+    s = side // 2
+    while s:
+        if s < 8:
+            row = bytes([_LOW_PATTERN[s]]) * width
+        else:
+            row = (bytes(s // 8) + b"\xff" * (s // 8)) * (side // (2 * s))
+        block = row * s + bytes(width * s)
+        yield s * (side - 1), int.from_bytes(block * (side // (2 * s)), "little")
+        s //= 2
+
+
+@lru_cache(maxsize=None)
+def _cached_rounds(side: int) -> tuple[tuple[int, int], ...]:
+    """The rounds of a side up to 1024, kept for the process: under 2 MB."""
+    return tuple(_tile_rounds(side))
+
+
+def _block_swap(x: int, rounds: Iterable[tuple[int, int]]) -> int:
+    """Transpose every tile packed in x, by the rounds of _tile_rounds."""
+    for shift, mask in rounds:
+        t = ((x >> shift) ^ x) & mask
+        x ^= t ^ (t << shift)
+    return x
+
+
 def _vector_bits(v: BitsLike, n: int) -> int:
     if isinstance(v, F2Vector):
         if v.n != n:
@@ -153,7 +214,7 @@ class F2Matrix:
     def from_row_bits(cls, rows: Iterable[int], ncols: int) -> "F2Matrix":
         m = cls.__new__(cls)
         packed = tuple(rows)
-        if ncols < 0 or any(r < 0 or r >> ncols for r in packed):
+        if ncols < 0 or packed and (min(packed) < 0 or max(packed) >> ncols):
             raise ContractError("row mask does not fit the column count")
         object.__setattr__(m, "rows", packed)
         object.__setattr__(m, "nrows", len(packed))
@@ -209,13 +270,57 @@ class F2Matrix:
         )
 
     def transpose(self) -> "F2Matrix":
-        cols = [0] * self.ncols
-        for i, r in enumerate(self.rows):
-            while r:
-                j = (r & -r).bit_length() - 1
-                cols[j] |= 1 << i
-                r &= r - 1
-        return F2Matrix.from_row_bits(cols, self.nrows)
+        nrows, ncols = self.nrows, self.ncols
+        if nrows <= 8 and ncols <= 8:
+            # one 8 x 8 tile, one byte per row
+            x = int.from_bytes(bytes(self.rows), "little")
+            x = _block_swap(x, _cached_rounds(8))
+            return F2Matrix.from_row_bits(x.to_bytes(8, "little")[:ncols], nrows)
+        short = min(nrows, ncols)
+        side = 8 if short <= 8 else 1 << (short - 1).bit_length()
+        width = side // 8
+        if nrows <= ncols:
+            # one band of tiles side by side; tile k holds columns
+            # k*side .. k*side + side - 1, so the output rows come out in order
+            tiles = -(-ncols // side)
+            full = tiles * width
+            rows = [r.to_bytes(full, "little") for r in self.rows]
+            rows += [bytes(full)] * (side - nrows)
+            data = b"".join(
+                [row[k : k + width] for k in range(0, full, width) for row in rows]
+            )
+        else:
+            # one stack of tiles; tile k holds rows k*side .. k*side + side - 1
+            tiles = -(-nrows // side)
+            data = b"".join([r.to_bytes(width, "little") for r in self.rows])
+            data += bytes((tiles * side - nrows) * width)
+        rounds = _cached_rounds(side) if side <= 1024 else _tile_rounds(side)
+        if tiles > 1:
+            size = side * width
+            rounds = (
+                (shift, int.from_bytes(mask.to_bytes(size, "little") * tiles, "little"))
+                for shift, mask in rounds
+            )
+        x = _block_swap(int.from_bytes(data, "little"), rounds)
+        y = x.to_bytes(len(data), "little")
+        if nrows <= ncols:
+            cols = y[:ncols] if width == 1 else [
+                int.from_bytes(y[k : k + width], "little")
+                for k in range(0, ncols * width, width)
+            ]
+        else:
+            # output row j is row j of every tile, joined
+            stride = side * width
+            cols = [
+                int.from_bytes(
+                    b"".join(
+                        [y[k : k + width] for k in range(j * width, len(y), stride)]
+                    ),
+                    "little",
+                )
+                for j in range(ncols)
+            ]
+        return F2Matrix.from_row_bits(cols, nrows)
 
     def mat_vec(self, v: BitsLike) -> F2Vector:
         x = _vector_bits(v, self.ncols)
@@ -260,42 +365,59 @@ class F2Matrix:
         return f"F2Matrix([{body}])"
 
 
-def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form in place; returns (pivot columns, nonzero rows).
+def _forward(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]:
+    """Row echelon form by the forward pass; returns (pivot columns, rows).
 
     Pivots are chosen as the first nonzero column scanning left to right, rows
-    scanned top down, so the result is deterministic.
+    scanned top down, so the result is deterministic. Only the rows below a
+    pivot are cleared; the returned rows are the nonzero ones, in pivot order.
     """
     pivots: list[int] = []
     work = list(rows)
+    n = len(work)
     r = 0
     for col in range(ncols):
-        sel = -1
-        for i in range(r, len(work)):
-            if (work[i] >> col) & 1:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        work[r], work[sel] = work[sel], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> col) & 1:
-                work[i] ^= work[r]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
+        if r == n:
             break
+        bit = 1 << col
+        for i in range(r, n):
+            if work[i] & bit:
+                break
+        else:
+            continue
+        pivot = work[i]
+        work[i] = work[r]
+        work[r] = pivot
+        r += 1
+        for k in range(r, n):
+            if work[k] & bit:
+                work[k] ^= pivot
+        pivots.append(col)
     return pivots, work[:r]
+
+
+def _back_substitute(pivots: list[int], red: list[int]) -> None:
+    """Clear each pivot column above its pivot row, in place.
+
+    This turns the forward pass's rows into the reduced row echelon form,
+    which is unique, so it does not depend on how the pivots were cleared.
+    """
+    for i in range(len(red) - 1, 0, -1):
+        bit = 1 << pivots[i]
+        pivot = red[i]
+        for k in range(i):
+            if red[k] & bit:
+                red[k] ^= pivot
 
 
 def rank(m: F2Matrix) -> int:
     """Rank of a matrix over GF(2)."""
-    pivots, _ = _eliminate(list(m.rows), m.ncols)
-    return len(pivots)
+    return len(_forward(m.rows, m.ncols)[0])
 
 
 def _kernel_masks(rows: Sequence[int], ncols: int) -> list[int]:
-    pivots, red = _eliminate(list(rows), ncols)
+    pivots, red = _forward(rows, ncols)
+    _back_substitute(pivots, red)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -320,11 +442,12 @@ def _solve_mask(rows: Sequence[int], ncols: int, rhs: int) -> int | None:
     # Eliminate on [A | b] with b stored at bit position ncols; a pivot in
     # that extra column means the system is inconsistent.
     aug = [r | (((rhs >> i) & 1) << ncols) for i, r in enumerate(rows)]
-    pivots, red = _eliminate(aug, ncols + 1)
+    pivots, red = _forward(aug, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    _back_substitute(pivots, red)
     sol = 0
     for i, p in enumerate(pivots):
-        if p == ncols:
-            return None
         if (red[i] >> ncols) & 1:
             sol |= 1 << p
     return sol

@@ -15,6 +15,7 @@ from __future__ import annotations
 import decimal
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import ContractError
 from .f2 import F2Matrix
@@ -70,11 +71,10 @@ def parse_matrix(text: str) -> F2Matrix:
 
 
 def format_matrix(m: F2Matrix) -> str:
-    lines = [
-        "".join("1" if (r >> j) & 1 else "0" for j in range(m.ncols))
-        for r in m.rows
-    ]
-    return "\n".join(lines) + "\n"
+    # bin() of the row with a 1 set just above its top column keeps the
+    # leading zeros; reading it backwards up to "0b1" puts column 0 first
+    top = 1 << m.ncols
+    return "\n".join([bin(r | top)[:2:-1] for r in m.rows]) + "\n"
 
 
 def parse_permutation(text: str) -> Permutation:
@@ -177,25 +177,62 @@ def _to_decimal(value: int, bits: int, powers: dict) -> decimal.Decimal:
 
 
 def format_json(value: object) -> str:
-    """The text of json.dumps(value, indent=2), with ints of any size."""
-    try:
-        return json.dumps(value, indent=2)
-    except ValueError:  # an int with more digits than str() allows
-        return _json_text(value, "")
+    """The text of json.dumps(value, indent=2), with ints of any size.
+
+    Every int is written by format_int, so counts print in full past the
+    interpreter's digit limit, and a list of plain ints is written with one
+    join. json.dumps itself runs its pure-Python encoder whenever an indent
+    is given.
+    """
+    return _json_text(value, "")
 
 
 def _json_text(value: object, indent: str) -> str:
-    """json.dumps(value, indent=2) with every int written by format_int."""
-    inner = indent + "  "
-    if isinstance(value, dict) and value:
-        items = [
-            f"{inner}{json.dumps(key)}: {_json_text(item, inner)}"
-            for key, item in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)) and value:
-        items = [inner + _json_text(item, inner) for item in value]
-        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-    if isinstance(value, int) and not isinstance(value, bool):
-        return format_int(value)
-    return json.dumps(value)
+    """One JSON value as json.dumps(value, indent=2) writes it at this depth."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return format_int(int(value))
+    if isinstance(value, float):
+        return json.dumps(value)
+    deeper = indent + "  "
+    sep = ",\n" + deeper
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            try:
+                items = sep.join(map(str, value))
+            except ValueError:  # an int with more digits than str() allows
+                items = sep.join(map(format_int, value))
+        else:
+            items = sep.join([_json_text(item, deeper) for item in value])
+        return "[\n" + deeper + items + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = sep.join(
+            [
+                f"{encode_basestring_ascii(_json_key(key))}: {_json_text(item, deeper)}"
+                for key, item in value.items()
+            ]
+        )
+        return "{\n" + deeper + items + "\n" + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key: object) -> str:
+    """A dict key as the string json.dumps writes for it."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _json_text(key, "")
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )

@@ -704,8 +704,12 @@ def _suite_blocks(max_n: int) -> list[CheckLine]:
                 form_bad += au.dot(u)
                 for vb in range(1 << t):
                     v = f2.F2Vector.from_bits(vb, t)
-                    form_bad += au.dot(v) != a.mat_vec(v).dot(u)
-                    images.append((ub, vb, counting.block_construct(a, u, v)))
+                    form = au.dot(v)
+                    form_bad += form != a.mat_vec(v).dot(u)
+                    image = counting.block_construct(a, u, v)
+                    # the root-to-root corner is the border form (A u1) . u2
+                    form_bad += image[0, t + 1] != form
+                    images.append((ub, vb, image))
             for u1, u2, m1 in images:
                 for v1, v2, m2 in images:
                     same = (u1 ^ v1) in kernel and (u2 ^ v2) in kernel

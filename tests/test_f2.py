@@ -1,5 +1,9 @@
 """GF(2) vectors, matrices, elimination, and the matrix swap move."""
 
+import functools
+import random
+import time
+
 import pytest
 
 from cdslab.errors import ContractError, InvalidMoveError
@@ -197,3 +201,177 @@ class TestMcds:
         assert mcds_distance(m) == 1
         assert mcds_distance(m) == rank(central_submatrix(m, "both")) // 2
         assert mcds_distance(F2Matrix.zeros(4, 4)) == 0
+
+
+# The per-bit kernels that the word-parallel ones replaced, kept as references.
+
+
+def reference_transpose(rows, ncols):
+    cols = [0] * ncols
+    for i, r in enumerate(rows):
+        while r:
+            j = (r & -r).bit_length() - 1
+            cols[j] |= 1 << i
+            r &= r - 1
+    return cols
+
+
+def reference_eliminate(rows, ncols):
+    """Reduced row echelon form by full elimination at every pivot."""
+    pivots = []
+    work = list(rows)
+    r = 0
+    for col in range(ncols):
+        sel = -1
+        for i in range(r, len(work)):
+            if (work[i] >> col) & 1:
+                sel = i
+                break
+        if sel < 0:
+            continue
+        work[r], work[sel] = work[sel], work[r]
+        for i in range(len(work)):
+            if i != r and (work[i] >> col) & 1:
+                work[i] ^= work[r]
+        pivots.append(col)
+        r += 1
+        if r == len(work):
+            break
+    return pivots, work[:r]
+
+
+# Kernel bases and solutions depend only on the row space of the matrix (of
+# the augmented matrix, for a solution), not on the row order, so the
+# exhaustive test memoizes the references on the sorted rows.
+
+
+def reference_kernel(rows, ncols):
+    return _reference_kernel(tuple(sorted(rows)), ncols)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_kernel(rows, ncols):
+    pivots, red = reference_eliminate(rows, ncols)
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        mask = 1 << f
+        for i, p in enumerate(pivots):
+            if (red[i] >> f) & 1:
+                mask |= 1 << p
+        basis.append(mask)
+    return basis
+
+
+def reference_solve(rows, ncols, rhs):
+    aug = [r | (((rhs >> i) & 1) << ncols) for i, r in enumerate(rows)]
+    return _reference_solve(tuple(sorted(aug)), ncols)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_solve(aug, ncols):
+    pivots, red = reference_eliminate(aug, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    sol = 0
+    for i, p in enumerate(pivots):
+        if (red[i] >> ncols) & 1:
+            sol |= 1 << p
+    return sol
+
+
+def assert_matches_references(rows, ncols, rhs_values):
+    m = F2Matrix.from_row_bits(rows, ncols)
+    assert list(m.transpose().rows) == reference_transpose(rows, ncols)
+    basis = reference_kernel(rows, ncols)
+    assert rank(m) == ncols - len(basis)
+    assert [v.bits for v in kernel_basis(m)] == basis
+    for rhs in rhs_values:
+        x = solve_linear(m, F2Vector.from_bits(rhs, len(rows)))
+        assert (None if x is None else x.bits) == reference_solve(rows, ncols, rhs)
+
+
+class TestWordParallelKernels:
+    def test_every_matrix_up_to_4x4(self):
+        for nrows in range(1, 5):
+            for ncols in range(1, 5):
+                width = (1 << ncols) - 1
+                family = [
+                    [(bits >> (i * ncols)) & width for i in range(nrows)]
+                    for bits in range(1 << (nrows * ncols))
+                ]
+                ms = [F2Matrix.from_row_bits(rows, ncols) for rows in family]
+                assert [list(m.transpose().rows) for m in ms] == [
+                    reference_transpose(rows, ncols) for rows in family
+                ]
+                bases = [reference_kernel(rows, ncols) for rows in family]
+                assert [rank(m) for m in ms] == [ncols - len(b) for b in bases]
+                if nrows * ncols == 16:
+                    # every row multiset once, which keeps the test inside
+                    # its time budget; rank covered every row order above
+                    pick = [k for k, rows in enumerate(family) if rows == sorted(rows)]
+                    family = [family[k] for k in pick]
+                    ms = [ms[k] for k in pick]
+                    bases = [bases[k] for k in pick]
+                assert [[v.bits for v in kernel_basis(m)] for m in ms] == bases
+                # bit i of the right-hand side says whether row i is at most 4:
+                # a rule on each row alone keeps the reference memo small, and
+                # as it is not linear, a third of the systems are inconsistent
+                rhs = [
+                    sum((r <= 4) << i for i, r in enumerate(rows)) for rows in family
+                ]
+                solved = [
+                    solve_linear(m, F2Vector.from_bits(b, nrows))
+                    for m, b in zip(ms, rhs)
+                ]
+                assert [None if x is None else x.bits for x in solved] == [
+                    reference_solve(rows, ncols, b) for rows, b in zip(family, rhs)
+                ]
+
+    def test_seeded_shapes_up_to_300(self):
+        rng = random.Random(14)
+        shapes = [(1, 1), (1, 300), (300, 1), (2, 3), (7, 9), (8, 8), (9, 7)]
+        shapes += [(16, 17), (33, 31), (64, 64), (65, 100), (100, 65)]
+        shapes += [(127, 128), (129, 255), (255, 129), (200, 300), (300, 300)]
+        for nrows, ncols in shapes:
+            # low rank, so kernels are wide and half the systems inconsistent
+            rank_at_most = max(1, min(nrows, ncols) // 3)
+            base = [rng.getrandbits(ncols) for _ in range(rank_at_most)]
+            rows = []
+            for _ in range(nrows):
+                r = 0
+                for b in base:
+                    if rng.getrandbits(1):
+                        r ^= b
+                rows.append(r)
+            solvable = F2Matrix.from_row_bits(rows, ncols).mat_vec(
+                F2Vector.from_bits(rng.getrandbits(ncols), ncols)
+            )
+            rhs_values = [solvable.bits, rng.getrandbits(nrows)]
+            assert_matches_references(rows, ncols, rhs_values)
+            dense = [rng.getrandbits(ncols) for _ in range(nrows)]
+            t = F2Matrix.from_row_bits(dense, ncols).transpose()
+            assert list(t.rows) == reference_transpose(dense, ncols)
+
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_large_transpose_by_its_own_rules(self, n):
+        rng = random.Random(n)
+        m = F2Matrix.from_row_bits([rng.getrandbits(n) for _ in range(n)], n)
+        t = m.transpose()
+        assert t.transpose() == m
+        for _ in range(500):
+            i, j = rng.randrange(n), rng.randrange(n)
+            assert t[j, i] == m[i, j]
+
+    @pytest.mark.parametrize("shape", [(1, 100000), (100000, 1), (3, 70)])
+    def test_thin_shapes_tile_by_the_short_side(self, shape):
+        nrows, ncols = shape
+        rng = random.Random(nrows)
+        rows = [rng.getrandbits(ncols) for _ in range(nrows)]
+        m = F2Matrix.from_row_bits(rows, ncols)
+        start = time.perf_counter()
+        t = m.transpose()
+        assert time.perf_counter() - start < 1.0
+        assert t.shape == (ncols, nrows)
+        # column j of the row texts, read back as a row
+        text = [format(r, f"0{ncols}b")[::-1] for r in rows]
+        assert list(t.rows) == [int("".join(col)[::-1], 2) for col in zip(*text)]

@@ -108,6 +108,18 @@ class TestFormats:
         assert parsed == big
 
 
+    def test_json_ints_past_the_digit_limit_match_json_dumps(self):
+        big = 7**9000  # 7607 digits, past the interpreter's default limit
+        value = {"n": [3, big, -big], big: [True, (big,)], "m": -big}
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = json.dumps(value, indent=2)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert formats.format_json(value) == expected
+
+
 class TestPermCommands:
     def test_check_unsortable(self, capsys):
         assert run(["perm", "check", "[3,2,5,1,4]"]) == 0
@@ -198,6 +210,13 @@ class TestMatrixCommands:
         for line in out[1:]:
             vec = formats.parse_matrix(line).row(0)
             assert m.mat_vec(vec).weight() == 0
+
+    def test_kernel_of_full_rank_matrix_is_empty(self, capsys):
+        assert run(["matrix", "kernel", "010\n100\n001\n"]) == 0
+        assert capsys.readouterr().out == "dimension 0\n"
+        assert run(["matrix", "kernel", "010\n100\n001\n", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"command": "matrix.kernel", "dimension": 0, "basis": []}
 
     def test_mcds(self, capsys):
         assert run(["matrix", "mcds", self.TRIANGLE, "1", "2"]) == 0

@@ -1,5 +1,7 @@
 """Property-based invariants across random permutations, graphs, matrices."""
 
+import json
+
 from hypothesis import assume, given, settings, strategies as st
 
 from cdslab import convert, f2, formats, graphs, perms
@@ -139,6 +141,28 @@ def test_realize_matches_the_reference(pi, data):
 @given(symmetric_matrices())
 def test_matrix_text_roundtrip(m):
     assert formats.parse_matrix(formats.format_matrix(m)) == m
+
+
+# Everything json.dumps writes: its scalars, lists and tuples (both become
+# arrays, so tuples sit beside lists of plain ints), and dicts whose keys may
+# be any scalar, which json.dumps turns into strings.
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.integers(), max_size=8)
+    | st.dictionaries(json_scalars, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(deadline=None, max_examples=50)
+@given(json_values)
+def test_json_text_is_json_dumps(value):
+    assert formats.format_json(value) == json.dumps(value, indent=2)
 
 
 @settings(deadline=None)
