@@ -61,8 +61,15 @@ class CountReport:
 
     @classmethod
     def build(cls, n: int, method: str, eulerian: bool, count: int) -> "CountReport":
-        total = 1 << (n * (n - 1) // 2)
-        return cls(n, method, eulerian, count, total, Fraction(count, total))
+        edges = n * (n - 1) // 2
+        # The total is 2**edges, so the gcd is 2 to count's trailing zeros:
+        # shifting them out leaves the ratio in lowest terms, which is what
+        # Fraction holds, without its full gcd (seconds at n = 2000). The two
+        # slots are set as Fraction's own coprime constructor does.
+        shift = min((count & -count).bit_length() - 1, edges) if count else edges
+        ratio = object.__new__(Fraction)
+        ratio._numerator, ratio._denominator = count >> shift, 1 << (edges - shift)
+        return cls(n, method, eulerian, count, 1 << edges, ratio)
 
 
 def block_construct(a: F2Matrix, u1: F2Vector, u2: F2Vector) -> F2Matrix:

@@ -9,13 +9,14 @@ operation, rather than one bit per Python step:
 - `F2Matrix.transpose` cuts the matrix into square tiles whose side N is the
   next power of two of the shorter side, at least 8, and packs them end to
   end into one int, N * N bits per tile with entry (i, j) at bit i * N + j.
+  When both sides exceed 1024, the matrix is cut into bands of 1024 rows
+  first, each transposed on its own, so no tile is larger than 1024 * 1024.
   log2 N masked block swaps, t = ((x >> s) ^ x) & mask; x ^= t ^ (t << s),
   with s = k (N - 1) for k = N/2, ..., 1, transpose every tile at once
   (H. S. Warren, *Hacker's Delight*, 2nd ed., section 7-3, "Transposing a
-  bit matrix"). Rows are packed and read back through bytes. A wide or tall
-  matrix needs memory within a small factor of its own size. The masks of
-  tile sides up to 1024 are kept, under 2 MB in all; larger ones are built
-  one round at a time, so only one is alive.
+  bit matrix"). Rows are packed and read back through bytes. Every matrix
+  needs memory within a small factor of its own size. The masks of every
+  tile side, 8 to 1024, are kept, under 2 MB in all.
 - `rank` runs only the forward pass of Gaussian elimination, which clears
   each pivot column below its pivot row. `kernel_basis` and `solve_linear`
   share that pass and add back-substitution, giving the reduced row echelon
@@ -134,19 +135,23 @@ class F2Vector:
 
 # the columns j with j & s set, as one byte, for block sizes s below a byte
 _LOW_PATTERN = {1: 0xAA, 2: 0xCC, 4: 0xF0}
+# the largest tile side of the transpose
+_TILE_CAP = 1024
 
 
-def _tile_rounds(side: int) -> Iterator[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _tile_rounds(side: int) -> tuple[tuple[int, int], ...]:
     """(shift, mask) for each round of the block-swap transpose of one tile.
 
     The round for block size s swaps the bit of weight s in the row index
     with the one in the column index: entry (i, j) with i & s clear and
     j & s set, at bit i * side + j of the tile, trades places with entry
     (i + s, j - s), which sits shift = s * (side - 1) bits higher. The masks
-    are built from repeated bytes, one round at a time, so a large side
-    keeps one side * side bit mask alive, not all log2(side) of them.
+    are built from repeated bytes and kept for the process: every side up
+    to _TILE_CAP takes under 2 MB in all.
     """
     width = side // 8
+    rounds = []
     s = side // 2
     while s:
         if s < 8:
@@ -154,14 +159,10 @@ def _tile_rounds(side: int) -> Iterator[tuple[int, int]]:
         else:
             row = (bytes(s // 8) + b"\xff" * (s // 8)) * (side // (2 * s))
         block = row * s + bytes(width * s)
-        yield s * (side - 1), int.from_bytes(block * (side // (2 * s)), "little")
+        mask = int.from_bytes(block * (side // (2 * s)), "little")
+        rounds.append((s * (side - 1), mask))
         s //= 2
-
-
-@lru_cache(maxsize=None)
-def _cached_rounds(side: int) -> tuple[tuple[int, int], ...]:
-    """The rounds of a side up to 1024, kept for the process: under 2 MB."""
-    return tuple(_tile_rounds(side))
+    return tuple(rounds)
 
 
 def _block_swap(x: int, rounds: Iterable[tuple[int, int]]) -> int:
@@ -274,9 +275,17 @@ class F2Matrix:
         if nrows <= 8 and ncols <= 8:
             # one 8 x 8 tile, one byte per row
             x = int.from_bytes(bytes(self.rows), "little")
-            x = _block_swap(x, _cached_rounds(8))
+            x = _block_swap(x, _tile_rounds(8))
             return F2Matrix.from_row_bits(x.to_bytes(8, "little")[:ncols], nrows)
         short = min(nrows, ncols)
+        if short > _TILE_CAP:
+            # a grid of tiles: each band of _TILE_CAP rows is a wide matrix,
+            # and output row j joins row j of every band's transpose
+            cols = [0] * ncols
+            for k in range(0, nrows, _TILE_CAP):
+                band = F2Matrix.from_row_bits(self.rows[k : k + _TILE_CAP], ncols)
+                cols = [c | (b << k) for c, b in zip(cols, band.transpose().rows)]
+            return F2Matrix.from_row_bits(cols, nrows)
         side = 8 if short <= 8 else 1 << (short - 1).bit_length()
         width = side // 8
         if nrows <= ncols:
@@ -294,7 +303,7 @@ class F2Matrix:
             tiles = -(-nrows // side)
             data = b"".join([r.to_bytes(width, "little") for r in self.rows])
             data += bytes((tiles * side - nrows) * width)
-        rounds = _cached_rounds(side) if side <= 1024 else _tile_rounds(side)
+        rounds = _tile_rounds(side)
         if tiles > 1:
             size = side * width
             rounds = (

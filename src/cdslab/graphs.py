@@ -6,7 +6,7 @@ Use RootedGraph.from_edges with explicit roots to relabel arbitrary input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import f2
 from .errors import ContractError, InvalidMoveError, SizeLimitError
@@ -152,24 +152,23 @@ def gcds(g: RootedGraph, p: int, q: int) -> RootedGraph:
     return RootedGraph(f2.mcds(g.adjacency, p, q))
 
 
-def _context_pairs(rows: Sequence[int]) -> list[tuple[int, int]]:
+def _context_pairs(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
     """Adjacent non-root pairs (p, q), p < q, of symmetric bit rows, in
-    lexicographic order. Shared with perms.cds_contexts."""
+    lexicographic order, scanned lazily: the first pair costs one masked row
+    per p up to its own. Shared with perms.cds_contexts and perms.sort_moves."""
     n = len(rows)
     inner = (1 << (n - 1)) - 1  # columns below the last root
-    out = []
     for p in range(1, n - 1):
         r = rows[p] & inner & ~((2 << p) - 1)  # columns q > p
         while r:
             low = r & -r
-            out.append((p, low.bit_length() - 1))
+            yield p, low.bit_length() - 1
             r ^= low
-    return out
 
 
 def context_pairs(g: RootedGraph) -> list[tuple[int, int]]:
     """All usable contexts: adjacent non-root vertex pairs (p, q), p < q."""
-    return _context_pairs(g.adjacency.rows)
+    return list(_context_pairs(g.adjacency.rows))
 
 
 def is_eulerian(g: RootedGraph) -> bool:

@@ -130,7 +130,7 @@ def _overlap_rows(pi: Permutation) -> list[int]:
 
 def cds_contexts(pi: Permutation) -> list[tuple[int, int]]:
     """Usable contexts: non-root pointer pairs (p, q), p < q, that alternate."""
-    return graphs._context_pairs(_overlap_rows(pi))
+    return list(graphs._context_pairs(_overlap_rows(pi)))
 
 
 def apply_cds(pi: Permutation, p: int, q: int) -> Permutation:
@@ -297,14 +297,18 @@ def precedence_matrix(pi: Permutation) -> f2.F2Matrix:
 def sort_moves(pi: Permutation) -> list[tuple[int, int]] | None:
     """Greedy sorting: repeatedly apply the lexicographically smallest
     context. Returns the move list when the walk ends at the identity, else
-    None (swaps apply until no context is left either way)."""
+    None (swaps apply until no context is left either way).
+
+    Each move costs O(n) big-int operations on n-bit rows: the overlap rows
+    are rebuilt, the context scan stops at the first non-root row with a
+    neighbour above it, and apply_cds rebuilds the pointer slots.
+    """
     moves = []
     cur = pi
     while True:
-        ctx = cds_contexts(cur)
-        if not ctx:
+        ctx = next(graphs._context_pairs(_overlap_rows(cur)), None)
+        if ctx is None:
             break
-        p, q = ctx[0]
-        moves.append((p, q))
-        cur = apply_cds(cur, p, q)
+        moves.append(ctx)
+        cur = apply_cds(cur, *ctx)
     return moves if cur.is_identity else None

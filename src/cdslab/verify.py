@@ -335,11 +335,20 @@ def _suite_commuting(max_n: int) -> list[CheckLine]:
         for pi in _all_perms(n):
             og = perms.overlap_graph(pi)
             ctx = set(perms.cds_contexts(pi))
-            if ctx != set(graphs.context_pairs(og)):
+            # by the definition, a non-root pair is a context iff it has a swap
+            swaps = {}
+            for p in range(1, n):
+                for q in range(p + 1, n):
+                    child = oracle.cds_move(pi.elements, p, q)
+                    if child is not None:
+                        swaps[p, q] = child
+            if ctx != swaps.keys():
                 bad += 1
                 continue
             for p, q in ctx:
                 sigma = perms.apply_cds(pi, p, q)
+                if sigma.elements != swaps[p, q]:
+                    bad += 1
                 moved = graphs.gcds(og, p, q)
                 if perms.overlap_graph(sigma).adjacency != moved.adjacency:
                     bad += 1

@@ -137,6 +137,19 @@ class TestCounts:
                 assert count_sortable(n, eulerian).count == want
                 want = ref_rank_sum(n, eulerian)
                 assert count_sortable_rank_sum(n, eulerian).count == want
+        # the ratio, reduced by shifting, is the gcd-reduced Fraction; every
+        # n up to 60, then a stride to 300, keeps the test well under a second
+        for n in [*range(3, 61), *range(64, 300, 12), 299, 300]:
+            for count in (count_sortable, count_sortable_rank_sum):
+                for eulerian in (False, True):
+                    report = count(n, eulerian)
+                    want = Fraction(report.count, report.total)
+                    got = report.ratio
+                    assert (got.numerator, got.denominator) == (
+                        want.numerator,
+                        want.denominator,
+                    )
+                    assert got == want and hash(got) == hash(want)
 
     def test_small_sizes_rejected(self):
         with pytest.raises(ContractError):

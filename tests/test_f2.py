@@ -362,6 +362,21 @@ class TestWordParallelKernels:
             i, j = rng.randrange(n), rng.randrange(n)
             assert t[j, i] == m[i, j]
 
+    @pytest.mark.parametrize("shape", [(1100, 1100), (2100, 1030)])
+    def test_sides_past_the_tile_cap_cut_into_a_grid(self, shape):
+        nrows, ncols = shape
+        rng = random.Random(nrows * ncols)
+        rows = [rng.getrandbits(ncols) for _ in range(nrows)]
+        m = F2Matrix.from_row_bits(rows, ncols)
+        t = m.transpose()
+        assert t.shape == (ncols, nrows)
+        assert t.transpose() == m
+        # both sides of the first band's edge, the corners, then random entries
+        edge = [(i, j) for i in (0, 1023, 1024, nrows - 1) for j in (0, ncols - 1)]
+        rand = [(rng.randrange(nrows), rng.randrange(ncols)) for _ in range(500)]
+        for i, j in edge + rand:
+            assert t[j, i] == m[i, j]
+
     @pytest.mark.parametrize("shape", [(1, 100000), (100000, 1), (3, 70)])
     def test_thin_shapes_tile_by_the_short_side(self, shape):
         nrows, ncols = shape

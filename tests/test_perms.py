@@ -1,5 +1,6 @@
 """Permutations, pointer contexts, swaps, piles, and derived graphs."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -23,6 +24,29 @@ from cdslab.perms import (
 )
 
 EXAMPLE = Permutation([3, 2, 5, 1, 4])
+
+
+def reference_sort_moves(pi):
+    """The greedy loop that lists every context and applies the first."""
+    moves = []
+    cur = pi
+    while True:
+        ctx = cds_contexts(cur)
+        if not ctx:
+            break
+        moves.append(ctx[0])
+        cur = apply_cds(cur, *ctx[0])
+    return moves if cur.is_identity else None
+
+
+def seeded_permutations(n, seed):
+    """Seeded uniform permutations of n, each tagged with its sortability."""
+    rng = random.Random(seed)
+    values = list(range(1, n + 1))
+    while True:
+        rng.shuffle(values)
+        pi = Permutation(values)
+        yield pi, is_cds_sortable(pi)
 
 
 class TestPermutation:
@@ -158,6 +182,27 @@ class TestSortMoves:
             for ctx in moves:
                 p = apply_cds(p, *ctx)
             assert p.is_identity
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_the_full_context_list_loop(self, n):
+        for tup in permutations(range(1, n + 1)):
+            p = Permutation(tup)
+            assert sort_moves(p) == reference_sort_moves(p)
+
+    @pytest.mark.parametrize("n,sortable", [(200, True), (200, False), (300, True)])
+    def test_seeded_large_matches_the_full_context_list_loop(self, n, sortable):
+        p = next(p for p, s in seeded_permutations(n, n) if s == sortable)
+        moves = sort_moves(p)
+        assert (moves is not None) == sortable
+        assert moves == reference_sort_moves(p)
+
+    def test_replay_at_n_1000(self):
+        p = next(p for p, sortable in seeded_permutations(1000, 1000) if sortable)
+        moves = sort_moves(p)
+        assert moves is not None
+        for ctx in moves:
+            p = apply_cds(p, *ctx)
+        assert p.is_identity
 
 
 class TestDerivedGraphs:
