@@ -22,7 +22,6 @@ from .counting import (
     convergence_report,
     count_sortable,
     count_sortable_rank_sum,
-    proportion,
 )
 from .convert import (
     adjacency_to_precedence,
@@ -87,7 +86,6 @@ __all__ = [
     "overlap_graph",
     "perms",
     "precedence_to_adjacency",
-    "proportion",
     "realize_move_graph",
     "run_suite",
     "sort_moves",

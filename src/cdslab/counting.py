@@ -23,18 +23,20 @@ __all__ = [
     "ConvergenceReport",
     "COUNT_METHODS",
     "COUNT_LIMIT",
+    "CONVERGENCE_LIMIT",
     "block_construct",
     "sortable_extensions_count",
     "macwilliams_count",
     "count_sortable",
     "count_sortable_rank_sum",
-    "proportion",
     "sqrt2_bounds",
     "convergence_report",
 ]
 
 COUNT_METHODS = ("closed_formula", "rank_sum", "brute_force")
 COUNT_LIMIT = 2000
+# convergence_report's time grows about as max_n^5, to seconds at max_n = 120
+CONVERGENCE_LIMIT = 120
 
 
 @dataclass(frozen=True)
@@ -135,10 +137,13 @@ def macwilliams_count(t: int, r: int) -> int:
 
     Such matrices have even rank, so the count is 0 for odd r. For r = 2s
     the count is prod_{i=1}^{s} 2^{2i-2}/(2^{2i}-1) * prod_{i=0}^{2s-1}
-    (2^{t-i}-1), which is always an integer.
+    (2^{t-i}-1), which is always an integer. Sizes above COUNT_LIMIT raise
+    SizeLimitError.
     """
     if t < 0 or not 0 <= r <= t:
         raise ContractError(f"rank {r} out of range for size {t}")
+    if t > COUNT_LIMIT:
+        raise SizeLimitError(f"counts limited to t <= {COUNT_LIMIT}, got {t}")
     return 0 if r % 2 else _rank_counts(t)[r // 2]
 
 
@@ -201,12 +206,6 @@ def count_sortable_rank_sum(n: int, eulerian: bool = False) -> CountReport:
     return CountReport.build(n, "rank_sum", eulerian, count)
 
 
-def proportion(n: int) -> Fraction:
-    """Exact density of sortable two-rooted graphs among all on n vertices."""
-    report = count_sortable(n)
-    return report.ratio
-
-
 def _even_terms(n: int) -> tuple[list[int], int]:
     """Numerators of the series terms of x_n and their common denominator,
     the number of graphs on 2n vertices."""
@@ -230,16 +229,14 @@ def sqrt2_bounds(bits: int = 70) -> tuple[Fraction, Fraction]:
 class ConvergenceReport:
     """Exact diagnostics for the convergence of the sortable density.
 
-    x_n denotes the density on 2n vertices; terms[(n, s)] its s-th series
-    term. decay_base and decay_scale bound the constants c = 4 - 2*sqrt(2)
-    and T = 6*(sqrt(2) + 1) of the geometric tail bound |x_{n+1} - x_n| <
-    T * c^-n. limit_lower is a certified lower bound for lim x_n.
+    x_n denotes the density on 2n vertices. decay_base and decay_scale
+    bound the constants c = 4 - 2*sqrt(2) and T = 6*(sqrt(2) + 1) of the
+    geometric tail bound |x_{n+1} - x_n| < T * c^-n. limit_lower is a
+    certified lower bound for lim x_n.
     """
 
     max_n: int
-    terms: dict[tuple[int, int], Fraction]
     even_proportions: dict[int, Fraction]
-    odd_proportions: dict[int, Fraction]
     sqrt2_low: Fraction
     sqrt2_high: Fraction
     decay_base_low: Fraction
@@ -274,9 +271,15 @@ def convergence_report(max_n: int = 50) -> ConvergenceReport:
     - constants: the rational sandwiches are valid and c > 1, T > 0.
     - x100_above_one_fifth and limit_positive_margin: x_100 > 1/5 and
       x_100 minus a certified tail upper bound is at least 4/25.
+
+    Sizes above CONVERGENCE_LIMIT raise SizeLimitError.
     """
     if max_n < 10:
         raise ContractError(f"convergence report needs max_n >= 10, got {max_n}")
+    if max_n > CONVERGENCE_LIMIT:
+        raise SizeLimitError(
+            f"convergence report limited to max_n <= {CONVERGENCE_LIMIT}, got {max_n}"
+        )
     k_lo, k_hi = sqrt2_bounds()
     c_lo, c_hi = 4 - 2 * k_hi, 4 - 2 * k_lo
     t_lo, t_hi = 6 * (k_lo + 1), 6 * (k_hi + 1)
@@ -288,7 +291,6 @@ def convergence_report(max_n: int = 50) -> ConvergenceReport:
         for s, value in enumerate(row):
             terms[(n, s)] = Fraction(value, total)
         even[n] = Fraction(sum(row), total)
-    odd = {n: proportion(2 * n + 1) for n in range(1, max_n + 1)}
 
     checks: dict[str, bool] = {}
     failures: list[str] = []
@@ -348,9 +350,7 @@ def convergence_report(max_n: int = 50) -> ConvergenceReport:
 
     return ConvergenceReport(
         max_n=max_n,
-        terms=terms,
         even_proportions=even,
-        odd_proportions=odd,
         sqrt2_low=k_lo,
         sqrt2_high=k_hi,
         decay_base_low=c_lo,

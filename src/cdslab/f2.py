@@ -6,17 +6,18 @@ All indices are 0-based.
 The kernels work a machine word's worth of bits, or more, per big-int
 operation, rather than one bit per Python step:
 
-- `F2Matrix.transpose` cuts the matrix into square tiles whose side N is the
-  next power of two of the shorter side, at least 8, and packs them end to
-  end into one int, N * N bits per tile with entry (i, j) at bit i * N + j.
-  When both sides exceed 1024, the matrix is cut into bands of 1024 rows
-  first, each transposed on its own, so no tile is larger than 1024 * 1024.
+- `F2Matrix.transpose` cuts the matrix into one row of square tiles whose
+  side N is the next power of two of the row count, at least 8, and packs
+  them end to end into one int, N * N bits per tile with entry (i, j) at
+  bit i * N + j. A matrix of more than 1024 rows is cut into bands of 1024
+  rows first, each transposed on its own, so N is at most 1024.
   log2 N masked block swaps, t = ((x >> s) ^ x) & mask; x ^= t ^ (t << s),
   with s = k (N - 1) for k = N/2, ..., 1, transpose every tile at once
   (H. S. Warren, *Hacker's Delight*, 2nd ed., section 7-3, "Transposing a
-  bit matrix"). Rows are packed and read back through bytes. Every matrix
-  needs memory within a small factor of its own size. The masks of every
-  tile side, 8 to 1024, are kept, under 2 MB in all.
+  bit matrix"). Rows are packed and read back through bytes. A square or
+  wide matrix needs memory within a small factor of its own size; a tall
+  one needs at most one 1024 * 1024 tile (128 KB) per band beyond that.
+  The masks of every tile side, 8 to 1024, are kept, under 2 MB in all.
 - `rank` runs only the forward pass of Gaussian elimination, which clears
   each pivot column below its pivot row. `kernel_basis` and `solve_linear`
   share that pass and add back-substitution, giving the reduced row echelon
@@ -272,37 +273,25 @@ class F2Matrix:
 
     def transpose(self) -> "F2Matrix":
         nrows, ncols = self.nrows, self.ncols
-        if nrows <= 8 and ncols <= 8:
-            # one 8 x 8 tile, one byte per row
-            x = int.from_bytes(bytes(self.rows), "little")
-            x = _block_swap(x, _tile_rounds(8))
-            return F2Matrix.from_row_bits(x.to_bytes(8, "little")[:ncols], nrows)
-        short = min(nrows, ncols)
-        if short > _TILE_CAP:
-            # a grid of tiles: each band of _TILE_CAP rows is a wide matrix,
-            # and output row j joins row j of every band's transpose
+        if nrows > _TILE_CAP:
+            # bands of _TILE_CAP rows, each transposed on its own; output
+            # row j joins row j of every band's transpose
             cols = [0] * ncols
             for k in range(0, nrows, _TILE_CAP):
                 band = F2Matrix.from_row_bits(self.rows[k : k + _TILE_CAP], ncols)
                 cols = [c | (b << k) for c, b in zip(cols, band.transpose().rows)]
             return F2Matrix.from_row_bits(cols, nrows)
-        side = 8 if short <= 8 else 1 << (short - 1).bit_length()
+        # one row of square tiles side by side; tile k holds columns
+        # k*side .. k*side + side - 1, so the output rows come out in order
+        side = 8 if nrows <= 8 else 1 << (nrows - 1).bit_length()
         width = side // 8
-        if nrows <= ncols:
-            # one band of tiles side by side; tile k holds columns
-            # k*side .. k*side + side - 1, so the output rows come out in order
-            tiles = -(-ncols // side)
-            full = tiles * width
-            rows = [r.to_bytes(full, "little") for r in self.rows]
-            rows += [bytes(full)] * (side - nrows)
-            data = b"".join(
-                [row[k : k + width] for k in range(0, full, width) for row in rows]
-            )
-        else:
-            # one stack of tiles; tile k holds rows k*side .. k*side + side - 1
-            tiles = -(-nrows // side)
-            data = b"".join([r.to_bytes(width, "little") for r in self.rows])
-            data += bytes((tiles * side - nrows) * width)
+        tiles = -(-ncols // side)
+        full = tiles * width
+        rows = [r.to_bytes(full, "little") for r in self.rows]
+        rows += [bytes(full)] * (side - nrows)
+        data = b"".join(
+            [row[k : k + width] for k in range(0, full, width) for row in rows]
+        )
         rounds = _tile_rounds(side)
         if tiles > 1:
             size = side * width
@@ -312,23 +301,10 @@ class F2Matrix:
             )
         x = _block_swap(int.from_bytes(data, "little"), rounds)
         y = x.to_bytes(len(data), "little")
-        if nrows <= ncols:
-            cols = y[:ncols] if width == 1 else [
-                int.from_bytes(y[k : k + width], "little")
-                for k in range(0, ncols * width, width)
-            ]
-        else:
-            # output row j is row j of every tile, joined
-            stride = side * width
-            cols = [
-                int.from_bytes(
-                    b"".join(
-                        [y[k : k + width] for k in range(j * width, len(y), stride)]
-                    ),
-                    "little",
-                )
-                for j in range(ncols)
-            ]
+        cols = y[:ncols] if width == 1 else [
+            int.from_bytes(y[k : k + width], "little")
+            for k in range(0, ncols * width, width)
+        ]
         return F2Matrix.from_row_bits(cols, nrows)
 
     def mat_vec(self, v: BitsLike) -> F2Vector:
@@ -337,22 +313,6 @@ class F2Matrix:
         for i, r in enumerate(self.rows):
             out |= ((r & x).bit_count() & 1) << i
         return F2Vector.from_bits(out, self.nrows)
-
-    def __matmul__(self, other: "F2Matrix | BitsLike") -> "F2Matrix | F2Vector":
-        if isinstance(other, F2Matrix):
-            if self.ncols != other.nrows:
-                raise ContractError(
-                    f"inner dimensions differ: {self.ncols} vs {other.nrows}"
-                )
-            ot = other.transpose()
-            out = []
-            for r in self.rows:
-                bits = 0
-                for j, c in enumerate(ot.rows):
-                    bits |= ((r & c).bit_count() & 1) << j
-                out.append(bits)
-            return F2Matrix.from_row_bits(out, other.ncols)
-        return self.mat_vec(other)
 
     def is_symmetric(self) -> bool:
         return self.is_square and self.rows == self.transpose().rows

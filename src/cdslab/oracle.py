@@ -471,12 +471,15 @@ def realizable_bruteforce(m: F2Matrix) -> Permutation | None:
     equals m, or None; decided by scanning all (k+1)! permutations."""
     if not m.is_square:
         raise ContractError(f"move-graph instance must be square, got {m.shape}")
-    if not m.is_symmetric() or not m.is_zero_diagonal():
-        raise ContractError("move-graph instance must be symmetric with zero diagonal")
-    length = m.nrows + 1
-    if length > REALIZE_LIMIT:
+    n, rows = m.nrows, m.rows
+    if n + 1 > REALIZE_LIMIT:
         raise SizeLimitError(
             f"realization scan limited to permutations of length <= {REALIZE_LIMIT}"
         )
-    witness = _move_graph_table(length).get(m.rows)
+    # entry by entry, so that the oracle shares no kernel with f2
+    if any((r >> i) & 1 for i, r in enumerate(rows)) or any(
+        (rows[i] >> j) & 1 != (rows[j] >> i) & 1 for i in range(n) for j in range(i)
+    ):
+        raise ContractError("move-graph instance must be symmetric with zero diagonal")
+    witness = _move_graph_table(n + 1).get(rows)
     return None if witness is None else Permutation(witness)

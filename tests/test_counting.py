@@ -5,16 +5,17 @@ from itertools import combinations
 
 import pytest
 
-from cdslab import f2, oracle
+from cdslab import counting, f2, oracle
 from cdslab.counting import (
+    CONVERGENCE_LIMIT,
     COUNT_LIMIT,
     CountReport,
+    _closed_formula_terms,
     block_construct,
     convergence_report,
     count_sortable,
     count_sortable_rank_sum,
     macwilliams_count,
-    proportion,
     sortable_extensions_count,
     sqrt2_bounds,
 )
@@ -230,20 +231,31 @@ class TestMacWilliams:
         with pytest.raises(SizeLimitError):
             oracle.n0_bruteforce(6, 2)
 
+    def test_large_sizes_rejected(self, monkeypatch):
+        def no_counts(*args):
+            raise AssertionError("a count was computed")
+
+        monkeypatch.setattr(counting, "_rank_counts", no_counts)
+        with pytest.raises(SizeLimitError, match="t <= 2000, got 2001"):
+            macwilliams_count(COUNT_LIMIT + 1, 2)
+
+
+def even_terms(n: int) -> list[Fraction]:
+    """The series terms of the density on 2n vertices."""
+    total = 1 << (n * (2 * n - 1))
+    return [Fraction(t, total) for t in _closed_formula_terms(2 * n, False)]
+
 
 class TestConvergence:
     def test_terms_sum_to_the_density(self):
-        terms = convergence_report(20).terms
         for n in range(2, 7):
-            total = sum((terms[(n, s)] for s in range(n)), Fraction(0))
-            assert total == proportion(2 * n)
+            total = sum(even_terms(n), Fraction(0))
+            assert total == count_sortable(2 * n).ratio
             assert total == count_sortable_rank_sum(2 * n).ratio
 
     def test_terms_match_the_fraction_products(self):
-        terms = convergence_report(20).terms
         for n in range(1, 21):
-            for s in range(n):
-                assert terms[(n, s)] == ref_proportion_term(n, s)
+            assert even_terms(n) == [ref_proportion_term(n, s) for s in range(n)]
 
     def test_sqrt2_sandwich(self):
         lo, hi = sqrt2_bounds()
@@ -272,3 +284,11 @@ class TestConvergence:
     def test_report_needs_room(self):
         with pytest.raises(ContractError):
             convergence_report(max_n=9)
+
+    def test_report_size_limit(self, monkeypatch):
+        def no_terms(*args):
+            raise AssertionError("a term was computed")
+
+        monkeypatch.setattr(counting, "_closed_formula_terms", no_terms)
+        with pytest.raises(SizeLimitError, match="max_n <= 120, got 121"):
+            convergence_report(max_n=CONVERGENCE_LIMIT + 1)

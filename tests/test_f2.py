@@ -98,8 +98,10 @@ class TestMatrix:
         ident = F2Matrix.identity(6)
         m = example()
         assert m + m == F2Matrix.zeros(6, 6)
-        assert ident @ m == m
-        assert m @ F2Vector.unit(6, 2) == m.column(2)
+        for j in range(6):
+            unit = F2Vector.unit(6, j)
+            assert ident.mat_vec(unit) == unit
+            assert m.mat_vec(unit) == m.column(j)
         assert m.mat_vec([1, 0, 0, 0, 0, 0]) == m.column(0)
 
     def test_transpose_and_predicates(self):
@@ -376,6 +378,19 @@ class TestWordParallelKernels:
         rand = [(rng.randrange(nrows), rng.randrange(ncols)) for _ in range(500)]
         for i, j in edge + rand:
             assert t[j, i] == m[i, j]
+
+    @pytest.mark.parametrize(
+        "shape", [(1024, 5), (1025, 3), (1023, 1025), (2049, 70), (0, 5), (5, 0)]
+    )
+    def test_shapes_at_the_band_edges(self, shape):
+        nrows, ncols = shape
+        rng = random.Random(nrows * 4099 + ncols)
+        rows = [rng.getrandbits(ncols) for _ in range(nrows)]
+        m = F2Matrix.from_row_bits(rows, ncols)
+        t = m.transpose()
+        assert t.shape == (ncols, nrows)
+        assert list(t.rows) == reference_transpose(rows, ncols)
+        assert t.transpose() == m
 
     @pytest.mark.parametrize("shape", [(1, 100000), (100000, 1), (3, 70)])
     def test_thin_shapes_tile_by_the_short_side(self, shape):

@@ -376,6 +376,16 @@ class TestVerifyCommand:
     def test_unknown_suite_is_a_usage_error(self, capsys):
         assert run(["verify", "--suite", "nonsense"]) == 2
 
+    def test_convergence_above_its_limit_fails_at_once(self, capsys, monkeypatch):
+        def no_terms(*args):
+            raise AssertionError("a term was computed")
+
+        monkeypatch.setattr(counting, "_closed_formula_terms", no_terms)
+        assert run(["verify", "--suite", "convergence", "--max-n", "121"]) == 1
+        assert capsys.readouterr().err == (
+            "error: convergence report limited to max_n <= 120, got 121\n"
+        )
+
     def test_random_check_records_the_first_exception(self):
         line = verify._random_family("x", 3, lambda: (0,), lambda v: 1 // v)
         assert not line.passed

@@ -244,3 +244,41 @@ class TestRealization:
             oracle.realizable_bruteforce(f2.F2Matrix([[0, 1], [0, 0]]))
         with pytest.raises(SizeLimitError):
             oracle.realizable_bruteforce(f2.F2Matrix.zeros(6, 6))
+
+
+class TestIndependence:
+    def test_entry_points_run_without_the_f2_kernels(self, monkeypatch):
+        # the inputs are built first: RootedGraph checks symmetry with f2
+        og = perms.overlap_graph(EXAMPLE)
+        tri = triangle()
+        moves = perms.move_graph(EXAMPLE)
+        path = f2.F2Matrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        star = f2.F2Matrix([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+        lopsided = f2.F2Matrix([[0, 1], [0, 0]])
+        looped = f2.F2Matrix([[1, 0], [0, 0]])
+
+        def unavailable(*args):
+            raise AssertionError("the oracle called an f2 kernel")
+
+        monkeypatch.setattr(f2.F2Matrix, "transpose", unavailable)
+        monkeypatch.setattr(f2, "_forward", unavailable)
+        first = perms.Permutation([1, 4, 3, 2, 5])
+        assert oracle.realizable_bruteforce(moves) == first
+        assert oracle.realizable_bruteforce(path) == perms.Permutation([1, 4, 3, 2])
+        assert oracle.realizable_bruteforce(star) is None
+        for bad in (lopsided, looped):
+            with pytest.raises(ContractError, match="symmetric with zero diagonal"):
+                oracle.realizable_bruteforce(bad)
+        assert oracle.census_bruteforce(5) == 113
+        assert not oracle.cds_sortable_bruteforce(EXAMPLE)
+        assert not oracle.gcds_sortable_bruteforce(og)
+        assert oracle.gcds_sortable_search(tri).result is True
+        assert oracle.gcds_fixed_point_profile(og) == {(1, False)}
+        assert oracle.parity_cuts_bruteforce(og) == [
+            frozenset(),
+            frozenset({1, 3}),
+            frozenset({0, 2, 4, 5}),
+            frozenset(range(6)),
+        ]
+        assert oracle.n0_bruteforce(4, 2) == 35
+        assert oracle.move_graph_bruteforce(EXAMPLE) == moves
