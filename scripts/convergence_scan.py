@@ -9,8 +9,10 @@ rational; floats appear only in the printout.
 from __future__ import annotations
 
 import argparse
+import sys
 
 from cdslab.counting import convergence_report
+from cdslab.errors import CdsLabError
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -27,7 +29,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    report = convergence_report(max_n=args.max_n)
+    try:
+        report = convergence_report(max_n=args.max_n)
+    except CdsLabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     shown = sorted(report.even_proportions)[: args.show_densities]
     for n in shown:
         print(f"x_{n} = {float(report.even_proportions[n]):.12f}")

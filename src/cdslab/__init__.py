@@ -11,43 +11,55 @@ realizes abstract move graphs as permutations, :mod:`cdslab.counting`
 counts and bounds the sortable population, :mod:`cdslab.oracle` holds
 definitions-only brute-force re-implementations, and :mod:`cdslab.verify`
 cross-checks the two against each other.
+
+Importing the package loads none of these modules. Each submodule, and
+each name in ``__all__``, is imported on first access (PEP 562), so a
+``cdslab`` command pays only for the modules it uses: ``perm sort`` never
+loads ``verify``, ``oracle``, ``convert`` or ``counting``.
+``from cdslab import X`` and ``from cdslab import *`` work as before.
 """
 
 from __future__ import annotations
 
-from . import convert, counting, f2, formats, graphs, oracle, perms, verify
-from .counting import (
-    ConvergenceReport,
-    CountReport,
-    convergence_report,
-    count_sortable,
-    count_sortable_rank_sum,
-)
-from .convert import (
-    adjacency_to_precedence,
-    precedence_to_adjacency,
-    realize_move_graph,
-)
-from .errors import (
-    CdsLabError,
-    ContractError,
-    InternalInvariantError,
-    InvalidMoveError,
-    SizeLimitError,
-)
-from .f2 import F2Matrix, F2Vector, is_mcds_sortable, mcds, mcds_distance
-from .graphs import RootedGraph, gcds, is_gcds_sortable
-from .perms import (
-    Permutation,
-    apply_cds,
-    cds_contexts,
-    is_cds_sortable,
-    move_graph,
-    overlap_graph,
-    sort_moves,
-    strategic_pile,
-)
-from .verify import run_suite
+import importlib
+
+# The names in __all__ that are not modules, by the module that defines them.
+_EXPORTS = {
+    "counting": (
+        "ConvergenceReport",
+        "CountReport",
+        "convergence_report",
+        "count_sortable",
+        "count_sortable_rank_sum",
+    ),
+    "convert": (
+        "adjacency_to_precedence",
+        "precedence_to_adjacency",
+        "realize_move_graph",
+    ),
+    "errors": (
+        "CdsLabError",
+        "ContractError",
+        "InternalInvariantError",
+        "InvalidMoveError",
+        "SizeLimitError",
+    ),
+    "f2": ("F2Matrix", "F2Vector", "is_mcds_sortable", "mcds", "mcds_distance"),
+    "graphs": ("RootedGraph", "gcds", "is_gcds_sortable"),
+    "perms": (
+        "Permutation",
+        "apply_cds",
+        "cds_contexts",
+        "is_cds_sortable",
+        "move_graph",
+        "overlap_graph",
+        "sort_moves",
+        "strategic_pile",
+    ),
+    "verify": ("run_suite",),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+_MODULES = frozenset(_EXPORTS) | {"formats", "oracle"}
 
 __version__ = "0.1.0"
 
@@ -92,3 +104,19 @@ __all__ = [
     "strategic_pile",
     "verify",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """Import a submodule, or the module a public name lives in, on first use."""
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -13,7 +13,9 @@ import argparse
 import os
 import sys
 
-from . import convert, counting, f2, formats, graphs, oracle, perms, verify
+# convert, counting, oracle and verify are imported by the commands that use
+# them, so a fresh process loads only what its subcommand needs.
+from . import f2, formats, graphs, perms
 from .errors import CdsLabError, ContractError, InvalidMoveError, SizeLimitError
 
 __all__ = ["build_parser", "main", "run"]
@@ -23,6 +25,27 @@ _DATA_HELP = "literal text, a file path, or - for stdin (default: stdin)"
 # The table computes three counts for every n up to max-n. On two cores it
 # takes about 7 s at max-n 350, text or JSON, 10 s at 400 and 30 s at 500.
 TABLE_LIMIT = 350
+
+# The verify subcommand's help, in verify's suite order, and the count
+# methods: kept here so that building the parser imports neither verify nor
+# counting. Tests pin them to verify.SUITE_NAMES and counting.COUNT_METHODS.
+_SUITES = (
+    ("table", "count table, ratio digits, and both counting methods"),
+    ("census", "exhaustive sortable census against both counting methods"),
+    ("eulerian", "census adjudication of the two Eulerian counting methods"),
+    ("sortability", "four sortability criteria agree on every permutation"),
+    ("commuting", "swaps commute across the permutation, graph, and matrix views"),
+    ("distance", "every maximal swap sequence has length rank/2"),
+    ("conversion", "adjacency/precedence conversions round-trip exactly"),
+    ("realize", "realization agrees with exhaustive search, witnesses verified"),
+    ("kernel", "parity cuts, kernels, pile vectors, and root placements"),
+    ("macwilliams", "rank census of symmetric zero-diagonal matrices"),
+    ("blocks", "bordered block construction, decomposition, extension counts"),
+    ("convergence", "exact rational certificates for the density limit"),
+    ("random", "randomized structural properties of all three swap kinds"),
+    ("all", "every suite at its default size"),
+)
+_COUNT_METHODS = ("closed_formula", "rank_sum", "brute_force")
 
 
 def _read_text(data: str | None) -> str:
@@ -272,6 +295,8 @@ def _cmd_matrix_kernel(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
+    from . import convert
+
     m = formats.parse_matrix(_read_text(args.data))
     if args.convert_command == "adj2prec":
         out = convert.adjacency_to_precedence(m)
@@ -289,6 +314,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
+    from . import convert
+
     m = formats.parse_matrix(_read_text(args.data))
     witness = convert.realize_move_graph(m)
     if witness is None:
@@ -311,7 +338,11 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from . import counting
+
     if args.method == "brute_force":
+        from . import oracle
+
         raw = oracle.census_bruteforce(args.n, eulerian=args.eulerian)
         rep = counting.CountReport.build(args.n, "brute_force", args.eulerian, raw)
     elif args.method == "rank_sum":
@@ -336,6 +367,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _table_rows(max_n: int, brute: bool) -> list[dict[str, object]]:
+    from . import counting
+
+    if brute:
+        from . import oracle
+
     rows: list[dict[str, object]] = []
     for n in range(3, max_n + 1):
         rep = counting.count_sortable(n)
@@ -372,6 +408,8 @@ def _render_table(rows: list[dict[str, object]]) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from . import counting
+
     if args.max_n < 3:
         raise ContractError(f"the table starts at n=3, got max-n {args.max_n}")
     # checked before the first row, so a table that cannot finish fails at once
@@ -383,10 +421,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise SizeLimitError(
             f"table limited to max-n <= {TABLE_LIMIT}, got {args.max_n}"
         )
-    if args.brute_force and args.max_n > oracle.CENSUS_LIMIT:
-        raise SizeLimitError(
-            f"census limited to n <= {oracle.CENSUS_LIMIT}, got {args.max_n}"
-        )
+    if args.brute_force:
+        from . import oracle
+
+        if args.max_n > oracle.CENSUS_LIMIT:
+            raise SizeLimitError(
+                f"census limited to n <= {oracle.CENSUS_LIMIT}, got {args.max_n}"
+            )
     rows = _table_rows(args.max_n, args.brute_force)
     _emit(
         args,
@@ -397,6 +438,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     report = verify.run_suite(args.suite, max_n=args.max_n)
     if args.json:
         print(formats.format_json({"command": "verify", **report.to_json()}))
@@ -496,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     count.add_argument(
         "--method",
-        choices=counting.COUNT_METHODS,
+        choices=_COUNT_METHODS,
         default="closed_formula",
         help="counting method (default: closed_formula)",
     )
@@ -515,19 +558,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     table.set_defaults(func=_cmd_table)
 
-    suites = verify.available_suites()
     verify_parser = sub.add_parser(
         "verify",
         parents=[common],
         help="run a verification suite",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="suites:\n"
-        + "\n".join(f"  {name:<12} {desc}" for name, desc in suites),
+        + "\n".join(f"  {name:<12} {desc}" for name, desc in _SUITES),
     )
     verify_parser.add_argument(
         "--suite",
         required=True,
-        choices=[name for name, _ in suites],
+        choices=[name for name, _ in _SUITES],
         metavar="NAME",
         help="suite name (see list below)",
     )

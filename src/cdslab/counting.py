@@ -41,7 +41,10 @@ CONVERGENCE_LIMIT = 120
 
 @dataclass(frozen=True)
 class CountReport:
-    """A sortable-graph count together with its population and density."""
+    """A sortable-graph count together with its population and density.
+
+    The population is 2**C(n, 2) graphs, so the total must be a power of two.
+    """
 
     n: int
     method: str
@@ -57,8 +60,18 @@ class CountReport:
             raise ContractError(
                 f"count {self.count} outside [0, {self.total}]"
             )
-        # cross-multiplied, so the check costs no second gcd
-        if self.ratio.numerator * self.total != self.count * self.ratio.denominator:
+        total, den = self.total, self.ratio.denominator
+        if total & (total - 1):
+            raise ContractError(f"total {total} is not a power of two")
+        # The ratio in lowest terms then has a power of two below it as well,
+        # and equals count/total exactly when its numerator, shifted by the
+        # gap in exponents, is count.
+        if (
+            den & (den - 1)
+            or den > total
+            or self.ratio.numerator << (total.bit_length() - den.bit_length())
+            != self.count
+        ):
             raise ContractError("ratio does not equal count/total")
 
     @classmethod

@@ -21,7 +21,6 @@ __all__ = [
     "CheckLine",
     "SuiteReport",
     "SUITE_NAMES",
-    "available_suites",
     "eulerian_adjudication",
     "run_suite",
 ]
@@ -942,82 +941,25 @@ def _suite_random(max_n: int) -> list[CheckLine]:
 
 _SuiteFn = Callable[[int], "list[CheckLine]"]
 
-_SUITES: dict[str, tuple[_SuiteFn, int, str]] = {
-    "table": (
-        _suite_table,
-        10,
-        "count table, ratio digits, and both counting methods",
-    ),
-    "census": (
-        _suite_census,
-        6,
-        "exhaustive sortable census against both counting methods",
-    ),
-    "eulerian": (
-        _suite_eulerian,
-        6,
-        "census adjudication of the two Eulerian counting methods",
-    ),
-    "sortability": (
-        _suite_sortability,
-        7,
-        "four sortability criteria agree on every permutation",
-    ),
-    "commuting": (
-        _suite_commuting,
-        6,
-        "swaps commute across the permutation, graph, and matrix views",
-    ),
-    "distance": (
-        _suite_distance,
-        6,
-        "every maximal swap sequence has length rank/2",
-    ),
-    "conversion": (
-        _suite_conversion,
-        7,
-        "adjacency/precedence conversions round-trip exactly",
-    ),
-    "realize": (
-        _suite_realize,
-        5,
-        "realization agrees with exhaustive search, witnesses verified",
-    ),
-    "kernel": (
-        _suite_kernel,
-        7,
-        "parity cuts, kernels, pile vectors, and root placements",
-    ),
-    "macwilliams": (
-        _suite_macwilliams,
-        5,
-        "rank census of symmetric zero-diagonal matrices",
-    ),
-    "blocks": (
-        _suite_blocks,
-        8,
-        "bordered block construction, decomposition, extension counts",
-    ),
-    "convergence": (
-        _suite_convergence,
-        50,
-        "exact rational certificates for the density limit",
-    ),
-    "random": (
-        _suite_random,
-        16,
-        "randomized structural properties of all three swap kinds",
-    ),
+# name -> (suite, default max_n); the one-line descriptions are the verify
+# subcommand's help, in cli._SUITES.
+_SUITES: dict[str, tuple[_SuiteFn, int]] = {
+    "table": (_suite_table, 10),
+    "census": (_suite_census, 6),
+    "eulerian": (_suite_eulerian, 6),
+    "sortability": (_suite_sortability, 7),
+    "commuting": (_suite_commuting, 6),
+    "distance": (_suite_distance, 6),
+    "conversion": (_suite_conversion, 7),
+    "realize": (_suite_realize, 5),
+    "kernel": (_suite_kernel, 7),
+    "macwilliams": (_suite_macwilliams, 5),
+    "blocks": (_suite_blocks, 8),
+    "convergence": (_suite_convergence, 50),
+    "random": (_suite_random, 16),
 }
 
 SUITE_NAMES = tuple(_SUITES) + ("all",)
-
-
-def available_suites() -> list[tuple[str, str]]:
-    """Suite names with one-line descriptions, ``all`` last."""
-    rows = [(name, entry[2]) for name, entry in _SUITES.items()]
-    rows.append(("all", "every suite at its default size"))
-    return rows
 
 
 def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
@@ -1030,7 +972,7 @@ def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
     start = time.perf_counter()
     if name == "all":
         checks: list[CheckLine] = []
-        for sub, (fn, default, _desc) in _SUITES.items():
+        for sub, (fn, default) in _SUITES.items():
             for line in fn(default):
                 checks.append(
                     CheckLine(f"{sub}: {line.name}", line.passed, line.detail)
@@ -1044,7 +986,7 @@ def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
     if name not in _SUITES:
         known = ", ".join(SUITE_NAMES)
         raise ContractError(f"unknown suite {name!r}; available: {known}")
-    fn, default, _desc = _SUITES[name]
+    fn, default = _SUITES[name]
     effective = default if max_n is None else max_n
     if effective < 1:
         raise ContractError(f"max_n must be positive, got {effective}")

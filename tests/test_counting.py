@@ -1,5 +1,8 @@
 """Closed-form counts, rank sums, extension laws, and convergence."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -166,6 +169,21 @@ class TestCounts:
             CountReport.build(4, "guesswork", False, 17)
         with pytest.raises(ContractError):
             CountReport(4, "closed_formula", False, 17, 64, Fraction(1, 2))
+        CountReport(4, "closed_formula", False, 17, 64, Fraction(17, 64))
+        CountReport(4, "closed_formula", False, 16, 64, Fraction(1, 4))
+        CountReport(4, "closed_formula", False, 0, 64, Fraction(0))
+        CountReport(4, "closed_formula", False, 64, 64, Fraction(1))
+        for count, total, ratio in (
+            (16, 64, Fraction(1, 2)),  # wrong numerator
+            (16, 64, Fraction(1, 8)),
+            (17, 64, Fraction(17, 32)),
+            (1, 64, Fraction(1, 128)),  # denominator above the total
+            (2, 6, Fraction(1, 3)),  # right ratio, total not a power of two
+            (6, 12, Fraction(1, 2)),
+            (0, 0, Fraction(0)),
+        ):
+            with pytest.raises(ContractError):
+                CountReport(4, "closed_formula", False, count, total, ratio)
 
 
 class TestExtensions:
@@ -292,3 +310,24 @@ class TestConvergence:
         monkeypatch.setattr(counting, "_closed_formula_terms", no_terms)
         with pytest.raises(SizeLimitError, match="max_n <= 120, got 121"):
             convergence_report(max_n=CONVERGENCE_LIMIT + 1)
+
+    def test_scan_script_past_the_limit_prints_one_error_line(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.dirname(os.path.dirname(counting.__file__))
+        proc = subprocess.run(
+            [
+                sys.executable,
+                os.path.join(root, "scripts", "convergence_scan.py"),
+                "--max-n",
+                str(CONVERGENCE_LIMIT + 1),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: convergence report limited to max_n <= 120, got 121\n"
+        )

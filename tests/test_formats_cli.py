@@ -1,18 +1,20 @@
 """Text formats and the command-line interface."""
 
+import importlib
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import types
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 import cdslab
-from cdslab import counting, f2, formats, oracle, perms, verify
+from cdslab import cli, counting, f2, formats, oracle, perms, verify
 from cdslab.cli import run
 from cdslab.errors import ContractError
 from test_convert import _reference_realize, seeded_move_graphs
@@ -476,18 +478,70 @@ class TestUsage:
             assert capsys.readouterr().out.strip() == "113"
 
     def test_import_loads_no_process_pool(self):
-        src = os.path.dirname(os.path.dirname(cdslab.__file__))
         code = (
             "import cdslab.cli, sys; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'multiprocessing' "
             "or m.startswith('concurrent.futures')))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
+        assert fresh_interpreter(code) == "[]"
+
+    def test_commands_load_only_the_modules_they_use(self):
+        code = f"""
+import contextlib, io, sys
+from cdslab.cli import run
+def loaded():
+    return [m for m in sorted(sys.modules) if m in {HEAVY_MODULES!r}]
+seen = [loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    run(["perm", "sort", "[1,4,2,5,3]"])
+    seen.append(loaded())
+    run(["count", "--n", "5", "--method", "brute_force"])
+    seen.append(loaded())
+print(seen)
+"""
+        assert fresh_interpreter(code) == repr(
+            [[], [], ["cdslab.counting", "cdslab.oracle"]]
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+
+    def test_parser_tables_match_their_modules(self):
+        assert tuple(name for name, _ in cli._SUITES) == verify.SUITE_NAMES
+        assert cli._COUNT_METHODS == counting.COUNT_METHODS
+
+
+# the modules a fresh `import cdslab.cli` must not load
+HEAVY_MODULES = ("cdslab.convert", "cdslab.counting", "cdslab.oracle", "cdslab.verify")
+
+
+def fresh_interpreter(code: str) -> str:
+    """Stdout of `code` run in a new interpreter that imports this cdslab."""
+    src = os.path.dirname(os.path.dirname(cdslab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+class TestPackage:
+    def test_public_names_are_their_home_modules_objects(self):
+        for name in cdslab.__all__:
+            value = getattr(cdslab, name)
+            if isinstance(value, types.ModuleType):
+                assert value is importlib.import_module(f"cdslab.{name}")
+            elif name != "__version__":
+                home = importlib.import_module(value.__module__)
+                assert getattr(home, name) is value, name
+        star: dict[str, object] = {}
+        exec("from cdslab import *", star)
+        assert {n: star[n] for n in cdslab.__all__} == {
+            n: getattr(cdslab, n) for n in cdslab.__all__
+        }
+
+    def test_unknown_names_raise_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
+            cdslab.nonsense
+        assert set(cdslab.__all__) <= set(dir(cdslab))

@@ -7,6 +7,7 @@ import pytest
 
 from cdslab import f2, graphs, oracle, perms
 from cdslab.errors import ContractError, SizeLimitError
+from test_formats_cli import fresh_interpreter
 
 EXAMPLE = perms.Permutation([3, 2, 5, 1, 4])
 
@@ -247,6 +248,13 @@ class TestRealization:
 
 
 class TestIndependence:
+    def test_import_loads_no_analytic_module(self):
+        code = (
+            "import cdslab.oracle, sys; print(sorted(m for m in sys.modules if m in "
+            "('cdslab.convert', 'cdslab.counting', 'cdslab.verify')))"
+        )
+        assert fresh_interpreter(code) == "[]"
+
     def test_entry_points_run_without_the_f2_kernels(self, monkeypatch):
         # the inputs are built first: RootedGraph checks symmetry with f2
         og = perms.overlap_graph(EXAMPLE)
