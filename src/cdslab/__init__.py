@@ -63,47 +63,8 @@ _MODULES = frozenset(_EXPORTS) | {"formats", "oracle"}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CdsLabError",
-    "ContractError",
-    "ConvergenceReport",
-    "CountReport",
-    "F2Matrix",
-    "F2Vector",
-    "InternalInvariantError",
-    "InvalidMoveError",
-    "Permutation",
-    "RootedGraph",
-    "SizeLimitError",
-    "__version__",
-    "adjacency_to_precedence",
-    "apply_cds",
-    "cds_contexts",
-    "convergence_report",
-    "convert",
-    "count_sortable",
-    "count_sortable_rank_sum",
-    "counting",
-    "f2",
-    "formats",
-    "gcds",
-    "graphs",
-    "is_cds_sortable",
-    "is_gcds_sortable",
-    "is_mcds_sortable",
-    "mcds",
-    "mcds_distance",
-    "move_graph",
-    "oracle",
-    "overlap_graph",
-    "perms",
-    "precedence_to_adjacency",
-    "realize_move_graph",
-    "run_suite",
-    "sort_moves",
-    "strategic_pile",
-    "verify",
-]
+# The errors module stays out: its classes are exported by name.
+__all__ = sorted({"__version__", *_HOMES, *_MODULES - {"errors"}})
 
 
 def __getattr__(name: str) -> object:

@@ -22,10 +22,6 @@ __all__ = ["build_parser", "main", "run"]
 
 _DATA_HELP = "literal text, a file path, or - for stdin (default: stdin)"
 
-# The table computes three counts for every n up to max-n. On two cores it
-# takes about 7 s at max-n 350, text or JSON, 10 s at 400 and 30 s at 500.
-TABLE_LIMIT = 350
-
 # The verify subcommand's help, in verify's suite order, and the count
 # methods: kept here so that building the parser imports neither verify nor
 # counting. Tests pin them to verify.SUITE_NAMES and counting.COUNT_METHODS.
@@ -65,7 +61,7 @@ def _emit(args: argparse.Namespace, text: str, payload: dict[str, object]) -> No
 
 
 def _pile_text(pile: perms.StrategicPile) -> str:
-    return "(" + ",".join(map(str, pile.ordered)) + ")"
+    return "(" + ",".join(map(str, pile)) + ")"
 
 
 def _matrix_lines(m: f2.F2Matrix) -> list[str]:
@@ -87,7 +83,7 @@ def _cmd_perm_check(args: argparse.Namespace) -> int:
             "command": "perm.check",
             "permutation": list(pi.elements),
             "sortable": pile.is_empty,
-            "strategic_pile": list(pile.ordered),
+            "strategic_pile": list(pile),
         },
     )
     return 0
@@ -105,7 +101,7 @@ def _cmd_perm_sort(args: argparse.Namespace) -> int:
                 "command": "perm.sort",
                 "permutation": list(pi.elements),
                 "sortable": False,
-                "strategic_pile": list(pile.ordered),
+                "strategic_pile": list(pile),
                 "moves": None,
             },
         )
@@ -157,7 +153,7 @@ def _cmd_perm_pile(args: argparse.Namespace) -> int:
         {
             "command": "perm.pile",
             "permutation": list(pi.elements),
-            "strategic_pile": list(pile.ordered),
+            "strategic_pile": list(pile),
             "empty": pile.is_empty,
         },
     )
@@ -197,16 +193,21 @@ def _cmd_graph_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_graph_gcds(args: argparse.Namespace) -> int:
-    g = formats.parse_graph(_read_text(args.data))
+def _swap(args: argparse.Namespace, swap, target, nouns: str):
+    """swap(target, p, q) at the 1-based p, q of the command line."""
     if args.p < 1 or args.q < 1:
-        raise InvalidMoveError("vertices are numbered from 1")
+        raise InvalidMoveError(f"{nouns} are numbered from 1")
     try:
-        moved = graphs.gcds(g, args.p - 1, args.q - 1)
+        return swap(target, args.p - 1, args.q - 1)
     except InvalidMoveError as exc:
         raise InvalidMoveError(
-            f"cannot swap on vertices {args.p}, {args.q}: {exc}"
+            f"cannot swap on {nouns} {args.p}, {args.q}: {exc}"
         ) from exc
+
+
+def _cmd_graph_gcds(args: argparse.Namespace) -> int:
+    g = formats.parse_graph(_read_text(args.data))
+    moved = _swap(args, graphs.gcds, g, "vertices")
     _emit(args, formats.format_graph(moved), _graph_payload("graph.gcds", moved))
     return 0
 
@@ -217,7 +218,7 @@ def _cmd_graph_cuts(args: argparse.Namespace) -> int:
     lines = [f"{len(cuts)} cuts"]
     listed = []
     for cut in cuts:
-        verts = [v + 1 for v in cut.vertices]
+        verts = [v + 1 for v in cut.support()]
         listed.append(verts)
         lines.append("{" + ",".join(map(str, verts)) + "}")
     _emit(
@@ -247,14 +248,7 @@ def _cmd_graph_props(args: argparse.Namespace) -> int:
 
 def _cmd_matrix_mcds(args: argparse.Namespace) -> int:
     m = formats.parse_matrix(_read_text(args.data))
-    if args.p < 1 or args.q < 1:
-        raise InvalidMoveError("indices are numbered from 1")
-    try:
-        moved = f2.mcds(m, args.p - 1, args.q - 1)
-    except InvalidMoveError as exc:
-        raise InvalidMoveError(
-            f"cannot swap on indices {args.p}, {args.q}: {exc}"
-        ) from exc
+    moved = _swap(args, f2.mcds, m, "indices")
     _emit(
         args,
         formats.format_matrix(moved),
@@ -417,9 +411,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise SizeLimitError(
             f"counts limited to n <= {counting.COUNT_LIMIT}, got {args.max_n}"
         )
-    if args.max_n > TABLE_LIMIT:
+    if args.max_n > counting.TABLE_LIMIT:
         raise SizeLimitError(
-            f"table limited to max-n <= {TABLE_LIMIT}, got {args.max_n}"
+            f"table limited to max-n <= {counting.TABLE_LIMIT}, got {args.max_n}"
         )
     if args.brute_force:
         from . import oracle
@@ -451,6 +445,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+_GROUPS = {
+    "perm": "permutation queries",
+    "graph": "two-rooted graph queries",
+    "matrix": "GF(2) matrix queries",
+    "convert": "adjacency/precedence conversions",
+}
+# (group, command, handler, help), in help order
+_COMMANDS = (
+    ("perm", "sort", _cmd_perm_sort, "emit a full sorting move sequence"),
+    ("perm", "check", _cmd_perm_check, "sortability verdict with the pile"),
+    ("perm", "cycles", _cmd_perm_cycles, "cycle form of the composed map"),
+    ("perm", "pile", _cmd_perm_pile, "the strategic pile"),
+    ("graph", "check", _cmd_graph_check, "sortability verdict and distance"),
+    ("graph", "gcds", _cmd_graph_gcds, "apply one swap on vertices p, q"),
+    ("graph", "cuts", _cmd_graph_cuts, "list every generalized parity cut"),
+    ("graph", "props", _cmd_graph_props, "root-placement properties a, b, c"),
+    ("matrix", "mcds", _cmd_matrix_mcds, "apply one swap at indices p, q"),
+    ("matrix", "rank", _cmd_matrix_rank, "rank over GF(2)"),
+    ("matrix", "kernel", _cmd_matrix_kernel, "kernel basis vectors"),
+    ("convert", "adj2prec", _cmd_convert, "overlap adjacency to precedence matrix"),
+    ("convert", "prec2adj", _cmd_convert, "precedence matrix to overlap adjacency"),
+)
+# the commands that take two 1-based indices p and q, with the indices' noun
+_INDEX_NOUNS = {"gcds": "vertex", "mcds": "index"}
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -469,56 +488,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    perm = sub.add_parser("perm", help="permutation queries")
-    perm_sub = perm.add_subparsers(dest="perm_command", required=True)
-    for name, fn, help_text in (
-        ("sort", _cmd_perm_sort, "emit a full sorting move sequence"),
-        ("check", _cmd_perm_check, "sortability verdict with the pile"),
-        ("cycles", _cmd_perm_cycles, "cycle form of the composed map"),
-        ("pile", _cmd_perm_pile, "the strategic pile"),
-    ):
-        p = perm_sub.add_parser(name, parents=[common], help=help_text)
+    groups = {
+        group: sub.add_parser(group, help=help_text).add_subparsers(
+            dest=f"{group}_command", required=True
+        )
+        for group, help_text in _GROUPS.items()
+    }
+    for group, name, fn, help_text in _COMMANDS:
+        p = groups[group].add_parser(name, parents=[common], help=help_text)
         p.add_argument("data", nargs="?", help=_DATA_HELP)
+        noun = _INDEX_NOUNS.get(name)
+        if noun:
+            p.add_argument("p", type=int, help=f"first {noun} (1-based)")
+            p.add_argument("q", type=int, help=f"second {noun} (1-based)")
         p.set_defaults(func=fn)
-
-    graph = sub.add_parser("graph", help="two-rooted graph queries")
-    graph_sub = graph.add_subparsers(dest="graph_command", required=True)
-    for name, fn, wants_context, help_text in (
-        ("check", _cmd_graph_check, False, "sortability verdict and distance"),
-        ("gcds", _cmd_graph_gcds, True, "apply one swap on vertices p, q"),
-        ("cuts", _cmd_graph_cuts, False, "list every generalized parity cut"),
-        ("props", _cmd_graph_props, False, "root-placement properties a, b, c"),
-    ):
-        p = graph_sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("data", nargs="?", help=_DATA_HELP)
-        if wants_context:
-            p.add_argument("p", type=int, help="first vertex (1-based)")
-            p.add_argument("q", type=int, help="second vertex (1-based)")
-        p.set_defaults(func=fn)
-
-    matrix = sub.add_parser("matrix", help="GF(2) matrix queries")
-    matrix_sub = matrix.add_subparsers(dest="matrix_command", required=True)
-    for name, fn, wants_context, help_text in (
-        ("mcds", _cmd_matrix_mcds, True, "apply one swap at indices p, q"),
-        ("rank", _cmd_matrix_rank, False, "rank over GF(2)"),
-        ("kernel", _cmd_matrix_kernel, False, "kernel basis vectors"),
-    ):
-        p = matrix_sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("data", nargs="?", help=_DATA_HELP)
-        if wants_context:
-            p.add_argument("p", type=int, help="first index (1-based)")
-            p.add_argument("q", type=int, help="second index (1-based)")
-        p.set_defaults(func=fn)
-
-    conv = sub.add_parser("convert", help="adjacency/precedence conversions")
-    conv_sub = conv.add_subparsers(dest="convert_command", required=True)
-    for name, help_text in (
-        ("adj2prec", "overlap adjacency to precedence matrix"),
-        ("prec2adj", "precedence matrix to overlap adjacency"),
-    ):
-        p = conv_sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("data", nargs="?", help=_DATA_HELP)
-        p.set_defaults(func=_cmd_convert)
 
     realize = sub.add_parser(
         "realize",

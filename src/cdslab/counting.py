@@ -23,6 +23,7 @@ __all__ = [
     "ConvergenceReport",
     "COUNT_METHODS",
     "COUNT_LIMIT",
+    "TABLE_LIMIT",
     "CONVERGENCE_LIMIT",
     "block_construct",
     "sortable_extensions_count",
@@ -35,6 +36,9 @@ __all__ = [
 
 COUNT_METHODS = ("closed_formula", "rank_sum", "brute_force")
 COUNT_LIMIT = 2000
+# The count table and the verify table suite count every n up to their max-n;
+# on two cores the table takes about 7 s at max-n 350, 10 s at 400, 30 s at 500.
+TABLE_LIMIT = 350
 # convergence_report's time grows about as max_n^5, to seconds at max_n = 120
 CONVERGENCE_LIMIT = 120
 

@@ -12,15 +12,17 @@ limit.
 """
 from __future__ import annotations
 
-import decimal
 import json
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 from .errors import ContractError
 from .f2 import F2Matrix
 from .graphs import RootedGraph
 from .perms import Permutation
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "parse_matrix",
@@ -154,26 +156,29 @@ def format_int(value: int) -> str:
         return str(value)
     except ValueError:
         pass
+    import decimal
+
+    powers: dict[int, decimal.Decimal] = {}
+
+    def to_decimal(part: int, bits: int) -> decimal.Decimal:
+        if bits <= _CHUNK_BITS:
+            return decimal.Decimal(part)
+        half = bits // 2
+        high = part >> half
+        power = powers.get(half)
+        if power is None:
+            power = powers[half] = decimal.Decimal(2) ** half
+        return to_decimal(high, bits - half) * power + to_decimal(
+            part - (high << half), half
+        )
+
     magnitude = abs(value)
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
-        digits = str(_to_decimal(magnitude, magnitude.bit_length(), {}))
+        digits = str(to_decimal(magnitude, magnitude.bit_length()))
     return "-" + digits if value < 0 else digits
-
-
-def _to_decimal(value: int, bits: int, powers: dict) -> decimal.Decimal:
-    if bits <= _CHUNK_BITS:
-        return decimal.Decimal(value)
-    half = bits // 2
-    high = value >> half
-    power = powers.get(half)
-    if power is None:
-        power = powers[half] = decimal.Decimal(2) ** half
-    return _to_decimal(high, bits - half, powers) * power + _to_decimal(
-        value - (high << half), half, powers
-    )
 
 
 def format_json(value: object) -> str:

@@ -5,7 +5,6 @@ Use RootedGraph.from_edges with explicit roots to relabel arbitrary input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import f2
@@ -13,7 +12,6 @@ from .errors import ContractError, InvalidMoveError, SizeLimitError
 
 __all__ = [
     "RootedGraph",
-    "ParityCut",
     "gcds",
     "context_pairs",
     "is_eulerian",
@@ -31,7 +29,12 @@ class RootedGraph:
     __slots__ = ("adjacency",)
 
     def __init__(self, adjacency: f2.F2Matrix):
-        if not adjacency.is_square or adjacency.nrows < 2:
+        if not adjacency.is_square:
+            raise ContractError(
+                "adjacency matrix must be square, got "
+                f"{adjacency.nrows}x{adjacency.ncols}"
+            )
+        if adjacency.nrows < 2:
             raise ContractError("a two-rooted graph needs at least 2 vertices")
         if not adjacency.is_symmetric():
             raise ContractError("adjacency matrix must be symmetric")
@@ -117,17 +120,6 @@ class RootedGraph:
         return f"RootedGraph(n={self.n}, edges={list(self.edges())})"
 
 
-@dataclass(frozen=True)
-class ParityCut:
-    """One side of a vertex partition, as a characteristic vector."""
-
-    vector: f2.F2Vector
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return self.vector.support()
-
-
 def _check_non_root_pair(g: RootedGraph, p: int, q: int) -> None:
     n = g.n
     if not (0 <= p < n and 0 <= q < n):
@@ -184,9 +176,9 @@ def is_gcds_sortable(g: RootedGraph) -> bool:
     return f2.is_mcds_sortable(g.adjacency)
 
 
-def generalized_parity_cuts(g: RootedGraph) -> list[ParityCut]:
+def generalized_parity_cuts(g: RootedGraph) -> list[f2.F2Vector]:
     """Every generalized parity cut, i.e. the whole kernel of the adjacency
-    matrix, enumerated in ascending bit-mask order.
+    matrix, as characteristic vectors in ascending bit-mask order.
 
     Limited to n <= 24 vertices; above that use f2.kernel_basis directly.
     """
@@ -200,9 +192,7 @@ def generalized_parity_cuts(g: RootedGraph) -> list[ParityCut]:
     members = {0}
     for b in basis:
         members |= {m ^ b for m in members}
-    return [
-        ParityCut(f2.F2Vector.from_bits(mask, n)) for mask in sorted(members)
-    ]
+    return [f2.F2Vector.from_bits(mask, n) for mask in sorted(members)]
 
 
 def has_property(g: RootedGraph, which: str) -> bool:

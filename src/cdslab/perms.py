@@ -11,10 +11,9 @@ overlap iff their occurrence slots strictly alternate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import xor
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import f2, graphs
 from .errors import ContractError, InvalidMoveError
@@ -165,8 +164,7 @@ def apply_cds(pi: Permutation, p: int, q: int) -> Permutation:
     return Permutation(out[1:-1])
 
 
-@dataclass(frozen=True)
-class CycleNotation:
+class CycleNotation(NamedTuple):
     """The composed cycle map on {0..n}: first the +1 rotation, then the
     inverse walk of the framed permutation."""
 
@@ -174,7 +172,7 @@ class CycleNotation:
     cycles: tuple[tuple[int, ...], ...]
 
 
-def cycle_notation(pi: Permutation) -> CycleNotation:
+def _cycle_map(pi: Permutation) -> tuple[int, ...]:
     n = pi.n
     # rot(i) = i + 1 mod n+1; walk sends a_n -> a_(n-1) -> ... -> a_1 -> 0
     # and 0 -> a_n. The composite applies rot first.
@@ -182,10 +180,14 @@ def cycle_notation(pi: Permutation) -> CycleNotation:
     seq = (0,) + pi.elements  # 0, a_1, ..., a_n
     for idx in range(n + 1):
         walk[seq[(idx + 1) % (n + 1)]] = seq[idx]
-    mapping = tuple(walk[(i + 1) % (n + 1)] for i in range(n + 1))
-    seen = [False] * (n + 1)
+    return tuple(walk[(i + 1) % (n + 1)] for i in range(n + 1))
+
+
+def cycle_notation(pi: Permutation) -> CycleNotation:
+    mapping = _cycle_map(pi)
+    seen = [False] * len(mapping)
     cycles = []
-    for start in range(n + 1):
+    for start in range(len(mapping)):
         if seen[start]:
             continue
         cyc = [start]
@@ -196,47 +198,41 @@ def cycle_notation(pi: Permutation) -> CycleNotation:
             cyc.append(cur)
             cur = mapping[cur]
         cycles.append(tuple(cyc))
-    return CycleNotation(mapping=mapping, cycles=tuple(cycles))
+    return CycleNotation(mapping, tuple(cycles))
 
 
-@dataclass(frozen=True)
-class StrategicPile:
-    """Elements trapped between n and 0 in the cycle of the composed map."""
+class StrategicPile(tuple):
+    """Elements trapped between n and 0 in the cycle of the composed map, in
+    walk order."""
 
-    ordered: tuple[int, ...]
+    __slots__ = ()
+
+    @property
+    def ordered(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def members(self) -> frozenset[int]:
-        return frozenset(self.ordered)
+        return frozenset(self)
 
     @property
     def is_empty(self) -> bool:
-        return not self.ordered
-
-    def __len__(self) -> int:
-        return len(self.ordered)
+        return not self
 
 
 def strategic_pile(pi: Permutation) -> StrategicPile:
-    """Walk the cycle containing n from n until 0; empty when 0 is not in
-    that cycle (equivalently, when nothing separates n from 0)."""
+    """Walk the composed map from n until 0; empty when the walk comes back
+    to n first (0 is not in the cycle of n, so nothing separates them)."""
     n = pi.n
-    note = cycle_notation(pi)
-    mapping = note.mapping
-    cyc = None
-    for c in note.cycles:
-        if n in c:
-            cyc = c
-            break
-    assert cyc is not None
-    if 0 not in cyc:
-        return StrategicPile(ordered=())
+    mapping = _cycle_map(pi)
     pile = []
     cur = mapping[n]
     while cur != 0:
+        if cur == n:
+            return StrategicPile()
         pile.append(cur)
         cur = mapping[cur]
-    return StrategicPile(ordered=tuple(pile))
+    return StrategicPile(pile)
 
 
 def is_cds_sortable(pi: Permutation) -> bool:

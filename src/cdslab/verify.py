@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from . import convert, counting, f2, formats, graphs, oracle, perms
-from .errors import ContractError, InvalidMoveError
+from .errors import ContractError, InvalidMoveError, SizeLimitError
 
 __all__ = [
     "CheckLine",
@@ -180,6 +180,10 @@ def _random_symmetric_rows(
 
 
 def _suite_table(max_n: int) -> list[CheckLine]:
+    if max_n > counting.TABLE_LIMIT:
+        raise SizeLimitError(
+            f"table limited to max-n <= {counting.TABLE_LIMIT}, got {max_n}"
+        )
     out = []
     for n in range(3, min(max_n, 10) + 1):
         row = _TABLE[n]
@@ -522,7 +526,7 @@ def _suite_kernel(max_n: int) -> list[CheckLine]:
         scan_bad = space_bad = root_bad = count = 0
         for rows in oracle.graph_rows(n):
             g = _graph(rows)
-            cuts = {c.vector.bits for c in graphs.generalized_parity_cuts(g)}
+            cuts = {c.bits for c in graphs.generalized_parity_cuts(g)}
             table[rows] = (g, cuts)
             if n <= 5:
                 scanned = oracle.parity_cuts_bruteforce(g, "generalized")

@@ -183,6 +183,18 @@ class TestGraphCommands:
         assert run(["graph", "gcds", self.GRAPH, "1", "2"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot swap on vertices 1, 2")
+        assert run(["graph", "gcds", self.GRAPH, "0", "2"]) == 1
+        assert capsys.readouterr().err == "error: vertices are numbered from 1\n"
+
+    def test_check_names_what_is_wrong_with_a_matrix(self, capsys):
+        assert run(["graph", "check", "0110"]) == 1
+        assert capsys.readouterr().err == (
+            "error: adjacency matrix must be square, got 1x4\n"
+        )
+        assert run(["graph", "check", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: a two-rooted graph needs at least 2 vertices\n"
+        )
 
     def test_cuts(self, capsys):
         assert run(["graph", "cuts", self.GRAPH]) == 0
@@ -229,6 +241,8 @@ class TestMatrixCommands:
         assert capsys.readouterr().err.startswith(
             "error: cannot swap on indices 1, 4"
         )
+        assert run(["matrix", "mcds", self.TRIANGLE, "1", "0"]) == 1
+        assert capsys.readouterr().err == "error: indices are numbered from 1\n"
 
 
 class TestConvertRealize:
@@ -388,6 +402,19 @@ class TestVerifyCommand:
             "error: convergence report limited to max_n <= 120, got 121\n"
         )
 
+    def test_tables_above_the_table_limit_fail_at_once(self, capsys, monkeypatch):
+        def no_terms(*args, **kwargs):
+            raise AssertionError("a count was computed")
+
+        monkeypatch.setattr(counting, "_closed_formula_terms", no_terms)
+        monkeypatch.setattr(counting, "_rank_counts", no_terms)
+        for max_n in ("351", "2001"):
+            assert run(["verify", "--suite", "table", "--max-n", max_n]) == 1
+            assert capsys.readouterr() == (
+                "",
+                f"error: table limited to max-n <= 350, got {max_n}\n",
+            )
+
     def test_random_check_records_the_first_exception(self):
         line = verify._random_family("x", 3, lambda: (0,), lambda v: 1 // v)
         assert not line.passed
@@ -503,6 +530,24 @@ print(seen)
             [[], [], ["cdslab.counting", "cdslab.oracle"]]
         )
 
+    def test_commands_load_no_dataclasses_or_decimal(self):
+        code = f"""
+import contextlib, io, sys
+before = set(sys.modules)
+from cdslab.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        run(["perm", "sort", "[1,4,2,5,3]"]),
+        run(["perm", "check", "[2,1]"]),
+        run(["graph", "check", "4 1 4\\n2 3\\n2 4\\n3 4\\n"]),
+        run(["matrix", "mcds", "0110\\n1010\\n1100\\n0000\\n", "1", "2"]),
+        run(["realize", "011\\n101\\n110\\n"]),
+    ]
+loaded = set(sys.modules) - before
+print(codes, sorted(loaded & {SLOW_IMPORTS!r}))
+"""
+        assert fresh_interpreter(code) == "[0, 0, 0, 0, 0] []"
+
     def test_parser_tables_match_their_modules(self):
         assert tuple(name for name, _ in cli._SUITES) == verify.SUITE_NAMES
         assert cli._COUNT_METHODS == counting.COUNT_METHODS
@@ -510,6 +555,9 @@ print(seen)
 
 # the modules a fresh `import cdslab.cli` must not load
 HEAVY_MODULES = ("cdslab.convert", "cdslab.counting", "cdslab.oracle", "cdslab.verify")
+# standard modules the command path leaves alone: dataclasses pulls in
+# inspect, ast, dis and tokenize, and fractions pulls in decimal
+SLOW_IMPORTS = {"dataclasses", "inspect", "decimal", "fractions"}
 
 
 def fresh_interpreter(code: str) -> str:

@@ -131,10 +131,31 @@ class TestCycles:
 class TestStrategicPile:
     def test_example(self):
         pile = strategic_pile(EXAMPLE)
+        assert pile == (4, 2)
+        assert list(pile) == [4, 2]
         assert pile.ordered == (4, 2)
         assert pile.members == {2, 4}
+        assert pile
         assert not pile.is_empty
         assert len(pile) == 2
+
+    def test_matches_the_run_after_n_in_its_cycle(self):
+        """The pile is the run of values after n up to 0 in the cycle of n
+        from cycle_notation, and empty when that cycle has no 0."""
+        for n in range(1, 8):
+            for tup in permutations(range(1, n + 1)):
+                p = Permutation(tup)
+                cyc = next(c for c in cycle_notation(p).cycles if n in c)
+                want = ()
+                if 0 in cyc:
+                    at = cyc.index(n)
+                    after = cyc[at + 1 :] + cyc[:at]
+                    want = after[: after.index(0)]
+                pile = strategic_pile(p)
+                assert pile == want and pile.ordered == want
+                assert len(pile) == len(want)
+                assert bool(pile) == bool(want) == (not pile.is_empty)
+                assert pile.members == frozenset(want)
 
     def test_empty_iff_sortable(self):
         for tup in permutations(range(1, 6)):
