@@ -12,11 +12,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import TYPE_CHECKING
 
-# convert, counting, oracle and verify are imported by the commands that use
-# them, so a fresh process loads only what its subcommand needs.
-from . import f2, formats, graphs, perms
+# convert, counting, f2, graphs, oracle, perms and verify are imported by the
+# commands that use them, so a fresh process loads only what its subcommand
+# needs: count loads none of the three views.
+from . import formats
 from .errors import CdsLabError, ContractError, InvalidMoveError, SizeLimitError
+
+if TYPE_CHECKING:
+    from . import f2, graphs, perms
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -73,6 +78,8 @@ def _matrix_lines(m: f2.F2Matrix) -> list[str]:
 
 
 def _cmd_perm_check(args: argparse.Namespace) -> int:
+    from . import perms
+
     pi = formats.parse_permutation(_read_text(args.data))
     pile = perms.strategic_pile(pi)
     text = "SORTABLE" if pile.is_empty else f"UNSORTABLE SP={_pile_text(pile)}"
@@ -90,6 +97,8 @@ def _cmd_perm_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_perm_sort(args: argparse.Namespace) -> int:
+    from . import perms
+
     pi = formats.parse_permutation(_read_text(args.data))
     moves = perms.sort_moves(pi)
     if moves is None:
@@ -128,6 +137,8 @@ def _cmd_perm_sort(args: argparse.Namespace) -> int:
 
 
 def _cmd_perm_cycles(args: argparse.Namespace) -> int:
+    from . import perms
+
     pi = formats.parse_permutation(_read_text(args.data))
     note = perms.cycle_notation(pi)
     text = "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in note.cycles)
@@ -145,6 +156,8 @@ def _cmd_perm_cycles(args: argparse.Namespace) -> int:
 
 
 def _cmd_perm_pile(args: argparse.Namespace) -> int:
+    from . import perms
+
     pi = formats.parse_permutation(_read_text(args.data))
     pile = perms.strategic_pile(pi)
     _emit(
@@ -174,6 +187,8 @@ def _graph_payload(command: str, g: graphs.RootedGraph) -> dict[str, object]:
 
 
 def _cmd_graph_check(args: argparse.Namespace) -> int:
+    from . import f2, graphs
+
     g = formats.parse_graph(_read_text(args.data))
     sortable = graphs.is_gcds_sortable(g)
     dist = f2.mcds_distance(g.adjacency)
@@ -206,6 +221,8 @@ def _swap(args: argparse.Namespace, swap, target, nouns: str):
 
 
 def _cmd_graph_gcds(args: argparse.Namespace) -> int:
+    from . import graphs
+
     g = formats.parse_graph(_read_text(args.data))
     moved = _swap(args, graphs.gcds, g, "vertices")
     _emit(args, formats.format_graph(moved), _graph_payload("graph.gcds", moved))
@@ -213,6 +230,8 @@ def _cmd_graph_gcds(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph_cuts(args: argparse.Namespace) -> int:
+    from . import graphs
+
     g = formats.parse_graph(_read_text(args.data))
     cuts = graphs.generalized_parity_cuts(g)
     lines = [f"{len(cuts)} cuts"]
@@ -230,6 +249,8 @@ def _cmd_graph_cuts(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph_props(args: argparse.Namespace) -> int:
+    from . import graphs
+
     g = formats.parse_graph(_read_text(args.data))
     flags = {
         "eulerian": graphs.is_eulerian(g),
@@ -247,6 +268,8 @@ def _cmd_graph_props(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix_mcds(args: argparse.Namespace) -> int:
+    from . import f2
+
     m = formats.parse_matrix(_read_text(args.data))
     moved = _swap(args, f2.mcds, m, "indices")
     _emit(
@@ -258,6 +281,8 @@ def _cmd_matrix_mcds(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix_rank(args: argparse.Namespace) -> int:
+    from . import f2
+
     m = formats.parse_matrix(_read_text(args.data))
     r = f2.rank(m)
     _emit(
@@ -269,6 +294,8 @@ def _cmd_matrix_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix_kernel(args: argparse.Namespace) -> int:
+    from . import f2
+
     m = formats.parse_matrix(_read_text(args.data))
     basis = f2.kernel_basis(m)
     strings = [
@@ -337,6 +364,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.method == "brute_force":
         from . import oracle
 
+        counting.check_count_floor(args.n)
         raw = oracle.census_bruteforce(args.n, eulerian=args.eulerian)
         rep = counting.CountReport.build(args.n, "brute_force", args.eulerian, raw)
     elif args.method == "rank_sum":
@@ -407,10 +435,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.max_n < 3:
         raise ContractError(f"the table starts at n=3, got max-n {args.max_n}")
     # checked before the first row, so a table that cannot finish fails at once
-    if args.max_n > counting.COUNT_LIMIT:
-        raise SizeLimitError(
-            f"counts limited to n <= {counting.COUNT_LIMIT}, got {args.max_n}"
-        )
     if args.max_n > counting.TABLE_LIMIT:
         raise SizeLimitError(
             f"table limited to max-n <= {counting.TABLE_LIMIT}, got {args.max_n}"

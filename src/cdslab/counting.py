@@ -11,12 +11,15 @@ is a certified one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import f2
 from .errors import ContractError, InternalInvariantError, SizeLimitError
-from .f2 import F2Matrix, F2Vector
+
+# Only the two center functions use f2, and import it themselves, so the
+# counts load no matrix code.
+if TYPE_CHECKING:
+    from .f2 import F2Matrix, F2Vector
 
 __all__ = [
     "CountReport",
@@ -25,6 +28,7 @@ __all__ = [
     "COUNT_LIMIT",
     "TABLE_LIMIT",
     "CONVERGENCE_LIMIT",
+    "check_count_floor",
     "block_construct",
     "sortable_extensions_count",
     "macwilliams_count",
@@ -43,13 +47,7 @@ TABLE_LIMIT = 350
 CONVERGENCE_LIMIT = 120
 
 
-@dataclass(frozen=True)
-class CountReport:
-    """A sortable-graph count together with its population and density.
-
-    The population is 2**C(n, 2) graphs, so the total must be a power of two.
-    """
-
+class _CountFields(NamedTuple):
     n: int
     method: str
     eulerian: bool
@@ -57,14 +55,31 @@ class CountReport:
     total: int
     ratio: Fraction
 
-    def __post_init__(self) -> None:
-        if self.method not in COUNT_METHODS:
-            raise ContractError(f"unknown counting method {self.method!r}")
-        if not 0 <= self.count <= self.total:
-            raise ContractError(
-                f"count {self.count} outside [0, {self.total}]"
-            )
-        total, den = self.total, self.ratio.denominator
+
+class CountReport(_CountFields):
+    """A sortable-graph count together with its population and density.
+
+    The population is 2**C(n, 2) graphs, so the total must be a power of two.
+    A report is a tuple of its fields, so it also compares equal to a plain
+    tuple of the same values; building one by any route validates it.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        n: int,
+        method: str,
+        eulerian: bool,
+        count: int,
+        total: int,
+        ratio: Fraction,
+    ) -> "CountReport":
+        if method not in COUNT_METHODS:
+            raise ContractError(f"unknown counting method {method!r}")
+        if not 0 <= count <= total:
+            raise ContractError(f"count {count} outside [0, {total}]")
+        den = ratio.denominator
         if total & (total - 1):
             raise ContractError(f"total {total} is not a power of two")
         # The ratio in lowest terms then has a power of two below it as well,
@@ -73,10 +88,15 @@ class CountReport:
         if (
             den & (den - 1)
             or den > total
-            or self.ratio.numerator << (total.bit_length() - den.bit_length())
-            != self.count
+            or ratio.numerator << (total.bit_length() - den.bit_length()) != count
         ):
             raise ContractError("ratio does not equal count/total")
+        return super().__new__(cls, n, method, eulerian, count, total, ratio)
+
+    @classmethod
+    def _make(cls, iterable) -> "CountReport":
+        # NamedTuple's _make, and _replace through it, skip __new__
+        return cls(*iterable)
 
     @classmethod
     def build(cls, n: int, method: str, eulerian: bool, count: int) -> "CountReport":
@@ -109,6 +129,8 @@ def block_construct(a: F2Matrix, u1: F2Vector, u2: F2Vector) -> F2Matrix:
         raise ContractError(
             f"border vectors must have length {n}, got {len(u1)} and {len(u2)}"
         )
+    from .f2 import F2Matrix
+
     b1 = a.mat_vec(u1)
     b2 = a.mat_vec(u2)
     corner = b1.dot(u2)
@@ -131,6 +153,8 @@ def sortable_extensions_count(a: F2Matrix, eulerian: bool = False) -> int:
         raise ContractError("center must be symmetric")
     if not a.is_zero_diagonal():
         raise ContractError("center must have a zero diagonal")
+    from . import f2
+
     base = 2 if eulerian else 4
     return base ** f2.rank(a)
 
@@ -186,9 +210,14 @@ def _closed_formula_terms(n: int, eulerian: bool) -> list[int]:
     return terms
 
 
-def _check_count_size(n: int) -> None:
+def check_count_floor(n: int) -> None:
+    """Refuse sizes below the formulas' domain, which every count method shares."""
     if n < 3:
         raise ContractError(f"counting needs n >= 3, got {n}")
+
+
+def _check_count_size(n: int) -> None:
+    check_count_floor(n)
     if n > COUNT_LIMIT:
         raise SizeLimitError(f"counts limited to n <= {COUNT_LIMIT}, got {n}")
 
@@ -242,8 +271,7 @@ def sqrt2_bounds(bits: int = 70) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Exact diagnostics for the convergence of the sortable density.
 
     x_n denotes the density on 2n vertices. decay_base and decay_scale

@@ -17,12 +17,15 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from .errors import ContractError
-from .f2 import F2Matrix
-from .graphs import RootedGraph
-from .perms import Permutation
 
+# The parsers import the types they build, so a command that parses none of
+# them, such as count, loads none of f2, graphs and perms.
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .f2 import F2Matrix
+    from .graphs import RootedGraph
+    from .perms import Permutation
 
 __all__ = [
     "parse_matrix",
@@ -56,6 +59,8 @@ def _body_lines(text: str) -> list[str]:
 
 def parse_matrix(text: str) -> F2Matrix:
     """Parse the row-per-line '0'/'1' matrix format."""
+    from .f2 import F2Matrix
+
     body = _body_lines(text)
     if not body:
         raise ContractError("empty matrix input")
@@ -81,6 +86,8 @@ def format_matrix(m: F2Matrix) -> str:
 
 def parse_permutation(text: str) -> Permutation:
     """Parse integers separated by whitespace or commas, brackets optional."""
+    from .perms import Permutation
+
     s = text.strip()
     if s and s[0] in "[(" and s[-1] in ")]":
         s = s[1:-1]
@@ -100,6 +107,8 @@ def format_permutation(pi: Permutation) -> str:
 
 def parse_graph(text: str) -> RootedGraph:
     """Parse the edge-list format (1-based) or an adjacency matrix."""
+    from .graphs import RootedGraph
+
     body = _body_lines(text)
     if not body:
         raise ContractError("empty graph input")

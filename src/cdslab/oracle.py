@@ -19,14 +19,17 @@ hold.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import ContractError, InternalInvariantError, SizeLimitError
-from .f2 import F2Matrix
-from .graphs import RootedGraph
-from .perms import Permutation
+
+# The two entry points that return a matrix or a permutation import its type
+# themselves, so the census loads no cdslab module but errors.
+if TYPE_CHECKING:
+    from .f2 import F2Matrix
+    from .graphs import RootedGraph
+    from .perms import Permutation
 
 __all__ = [
     "SearchStats",
@@ -54,8 +57,7 @@ REALIZE_LIMIT = 6
 _FLAVORS = ("two_sided_root_even", "generalized")
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     """Exhaustive-search outcome with its size telemetry."""
 
     states_visited: int
@@ -455,6 +457,8 @@ def move_graph_bruteforce(pi: Permutation) -> F2Matrix:
     """Pairwise-interleaving graph of the non-root pointers, from scratch."""
     if len(pi) < 2:
         raise ContractError("move graphs need permutations of length >= 2")
+    from .f2 import F2Matrix
+
     return F2Matrix.from_row_bits(_move_graph_rows(tuple(pi)), len(pi) - 1)
 
 
@@ -481,5 +485,7 @@ def realizable_bruteforce(m: F2Matrix) -> Permutation | None:
         (rows[i] >> j) & 1 != (rows[j] >> i) & 1 for i in range(n) for j in range(i)
     ):
         raise ContractError("move-graph instance must be symmetric with zero diagonal")
+    from .perms import Permutation
+
     witness = _move_graph_table(n + 1).get(rows)
     return None if witness is None else Permutation(witness)

@@ -23,6 +23,7 @@ from cdslab.counting import (
     sqrt2_bounds,
 )
 from cdslab.errors import ContractError, SizeLimitError
+from test_formats_cli import fresh_interpreter
 
 SORTABLE = {
     3: 1,
@@ -122,6 +123,10 @@ class TestCounts:
             assert report.count == expected
             assert report.total == 1 << (n * (n - 1) // 2)
             assert report.ratio == Fraction(expected, report.total)
+        with pytest.raises(AttributeError):
+            report.count = 0
+        with pytest.raises(ContractError, match="ratio does not equal"):
+            report._replace(count=report.count + 1)
 
     def test_methods_agree_without_degree_restriction(self):
         for n in range(3, 26):
@@ -184,6 +189,15 @@ class TestCounts:
         ):
             with pytest.raises(ContractError):
                 CountReport(4, "closed_formula", False, count, total, ratio)
+
+
+class TestImports:
+    def test_counting_loads_no_matrix_code(self):
+        code = (
+            "import cdslab.counting, sys; print(sorted(m for m in sys.modules "
+            "if m.startswith('cdslab.')))"
+        )
+        assert fresh_interpreter(code) == "['cdslab.counting', 'cdslab.errors']"
 
 
 class TestExtensions:
@@ -298,6 +312,8 @@ class TestConvergence:
         assert report.x100 > Fraction(1, 5)
         assert report.limit_lower >= Fraction(16, 100)
         assert report.failures == ()
+        with pytest.raises(AttributeError):
+            report.max_n = 30
 
     def test_report_needs_room(self):
         with pytest.raises(ContractError):

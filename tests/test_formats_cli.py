@@ -290,6 +290,14 @@ class TestCountTable:
         ) == 0
         assert capsys.readouterr().out.strip() == "589"
 
+    def test_every_method_refuses_sizes_below_three(self, capsys):
+        for method in ("closed_formula", "rank_sum", "brute_force"):
+            for n in ("2", "1"):
+                assert run(["count", "--n", n, "--method", method]) == 1
+                assert capsys.readouterr().err == (
+                    f"error: counting needs n >= 3, got {n}\n"
+                )
+
     def test_count_json(self, capsys):
         assert run(["count", "--n", "6", "--eulerian", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -350,12 +358,15 @@ class TestCountTable:
         for argv in (
             ["count", "--n", "2001"],
             ["count", "--n", "2001", "--method", "rank_sum"],
-            ["table", "--max-n", "2001"],
         ):
             assert run(argv) == 1
             assert capsys.readouterr().err == (
                 "error: counts limited to n <= 2000, got 2001\n"
             )
+        assert run(["table", "--max-n", "2001"]) == 1
+        assert capsys.readouterr().err == (
+            "error: table limited to max-n <= 350, got 2001\n"
+        )
 
 
     def test_tables_above_the_table_limit_fail_at_once(self, capsys, monkeypatch):
@@ -513,22 +524,31 @@ class TestUsage:
         assert fresh_interpreter(code) == "[]"
 
     def test_commands_load_only_the_modules_they_use(self):
-        code = f"""
+        # each path starts from a fresh interpreter, so that no module another
+        # command loaded hides what this one loads
+        def loads(*commands):
+            code = f"""
 import contextlib, io, sys
 from cdslab.cli import run
 def loaded():
     return [m for m in sorted(sys.modules) if m in {HEAVY_MODULES!r}]
 seen = [loaded()]
 with contextlib.redirect_stdout(io.StringIO()):
-    run(["perm", "sort", "[1,4,2,5,3]"])
-    seen.append(loaded())
-    run(["count", "--n", "5", "--method", "brute_force"])
-    seen.append(loaded())
+    for argv in {list(commands)!r}:
+        run(argv)
+        seen.append(loaded())
 print(seen)
 """
-        assert fresh_interpreter(code) == repr(
-            [[], [], ["cdslab.counting", "cdslab.oracle"]]
-        )
+            return fresh_interpreter(code)
+
+        views = ["cdslab.f2", "cdslab.graphs", "cdslab.perms"]
+        assert loads(["perm", "sort", "[1,4,2,5,3]"]) == repr([[], views])
+        counts = ["cdslab.counting", "cdslab.oracle"]
+        assert loads(
+            ["count", "--n", "5"],
+            ["count", "--n", "160", "--method", "rank_sum"],
+            ["count", "--n", "5", "--method", "brute_force"],
+        ) == repr([[], counts[:1], counts[:1], counts])
 
     def test_commands_load_no_dataclasses_or_decimal(self):
         code = f"""
@@ -543,10 +563,16 @@ with contextlib.redirect_stdout(io.StringIO()):
         run(["matrix", "mcds", "0110\\n1010\\n1100\\n0000\\n", "1", "2"]),
         run(["realize", "011\\n101\\n110\\n"]),
     ]
-loaded = set(sys.modules) - before
-print(codes, sorted(loaded & {SLOW_IMPORTS!r}))
+    loaded = set(sys.modules) - before
+    codes += [
+        run(["count", "--n", "5"]),
+        run(["count", "--n", "160", "--method", "rank_sum"]),
+        run(["count", "--n", "5", "--method", "brute_force"]),
+    ]
+counted = set(sys.modules) - before - loaded
+print(codes, sorted(loaded & {SLOW_IMPORTS!r}), sorted(counted & {COUNT_SLOW!r}))
 """
-        assert fresh_interpreter(code) == "[0, 0, 0, 0, 0] []"
+        assert fresh_interpreter(code) == "[0, 0, 0, 0, 0, 0, 0, 0] [] []"
 
     def test_parser_tables_match_their_modules(self):
         assert tuple(name for name, _ in cli._SUITES) == verify.SUITE_NAMES
@@ -554,10 +580,20 @@ print(codes, sorted(loaded & {SLOW_IMPORTS!r}))
 
 
 # the modules a fresh `import cdslab.cli` must not load
-HEAVY_MODULES = ("cdslab.convert", "cdslab.counting", "cdslab.oracle", "cdslab.verify")
+HEAVY_MODULES = (
+    "cdslab.convert",
+    "cdslab.counting",
+    "cdslab.f2",
+    "cdslab.graphs",
+    "cdslab.oracle",
+    "cdslab.perms",
+    "cdslab.verify",
+)
 # standard modules the command path leaves alone: dataclasses pulls in
 # inspect, ast, dis and tokenize, and fractions pulls in decimal
 SLOW_IMPORTS = {"dataclasses", "inspect", "decimal", "fractions"}
+# count needs fractions for its ratio, but no more than that
+COUNT_SLOW = {"dataclasses", "inspect"}
 
 
 def fresh_interpreter(code: str) -> str:
