@@ -17,7 +17,8 @@ each name in ``__all__``, is imported on first access (PEP 562), so a
 ``cdslab`` command pays only for the modules it uses: ``perm sort`` never
 loads ``verify``, ``oracle``, ``convert`` or ``counting``, and ``count``
 loads ``counting`` (with ``oracle`` for its brute-force method) but none of
-``f2``, ``graphs`` and ``perms``. Only ``verify`` uses dataclasses.
+``f2``, ``graphs`` and ``perms``. No module uses dataclasses, and JSON output
+is written without the ``json`` package.
 ``from cdslab import X`` and ``from cdslab import *`` work as before.
 """
 
@@ -46,7 +47,7 @@ _EXPORTS = {
         "InvalidMoveError",
         "SizeLimitError",
     ),
-    "f2": ("F2Matrix", "F2Vector", "is_mcds_sortable", "mcds", "mcds_distance"),
+    "f2": ("F2Matrix", "is_mcds_sortable", "mcds", "mcds_distance"),
     "graphs": ("RootedGraph", "gcds", "is_gcds_sortable"),
     "perms": (
         "Permutation",

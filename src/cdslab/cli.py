@@ -237,7 +237,7 @@ def _cmd_graph_cuts(args: argparse.Namespace) -> int:
     lines = [f"{len(cuts)} cuts"]
     listed = []
     for cut in cuts:
-        verts = [v + 1 for v in cut.support()]
+        verts = [v + 1 for v in range(g.n) if (cut >> v) & 1]
         listed.append(verts)
         lines.append("{" + ",".join(map(str, verts)) + "}")
     _emit(
@@ -298,10 +298,9 @@ def _cmd_matrix_kernel(args: argparse.Namespace) -> int:
 
     m = formats.parse_matrix(_read_text(args.data))
     basis = f2.kernel_basis(m)
-    strings = [
-        "".join("1" if (v.bits >> j) & 1 else "0" for j in range(m.ncols))
-        for v in basis
-    ]
+    # as format_matrix writes a row: column 0 first
+    top = 1 << m.ncols
+    strings = [bin(v | top)[:2:-1] for v in basis]
     lines = [f"dimension {len(basis)}"] + strings
     _emit(
         args,

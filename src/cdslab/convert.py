@@ -194,7 +194,7 @@ def realize_move_graph(m: f2.F2Matrix) -> perms.Permutation | None:
     from_one = (1 << size) - 2
     fixed = f2.F2Matrix.from_row_bits([0, *(r << 1 for r in m.rows), 0], n + 1)
     shared = prefix_xor(corner_embed(fixed) + bidiagonal_ones(size)).rows
-    mu = m.mat_vec(f2.F2Vector.from_bits((1 << k) - 1, k)).bits
+    mu = m.mat_vec((1 << k) - 1)
     above = 0  # XOR of the move graph's rows above hypothesis i
     for i in range(1, n + 1):
         if i >= 2:

@@ -19,7 +19,7 @@ from .errors import ContractError, InternalInvariantError, SizeLimitError
 # Only the two center functions use f2, and import it themselves, so the
 # counts load no matrix code.
 if TYPE_CHECKING:
-    from .f2 import F2Matrix, F2Vector
+    from .f2 import F2Matrix
 
 __all__ = [
     "CountReport",
@@ -111,11 +111,12 @@ class CountReport(_CountFields):
         return cls(n, method, eulerian, count, 1 << edges, ratio)
 
 
-def block_construct(a: F2Matrix, u1: F2Vector, u2: F2Vector) -> F2Matrix:
+def block_construct(a: F2Matrix, u1: int, u2: int) -> F2Matrix:
     """Extend an n x n center to an (n+2) x (n+2) two-rooted adjacency matrix.
 
     The two border rows are a @ u1 and a @ u2, and the root-to-root corner
-    entry is (a @ u1) . u2. The center must be symmetric with zero diagonal;
+    entry is (a @ u1) . u2. The borders are n-bit masks, refused by mat_vec
+    when they do not fit. The center must be symmetric with zero diagonal;
     the output then is too, and is always swap-sortable.
     """
     if not a.is_square:
@@ -124,20 +125,16 @@ def block_construct(a: F2Matrix, u1: F2Vector, u2: F2Vector) -> F2Matrix:
         raise ContractError("center must be symmetric")
     if not a.is_zero_diagonal():
         raise ContractError("center must have a zero diagonal")
-    n = a.nrows
-    if len(u1) != n or len(u2) != n:
-        raise ContractError(
-            f"border vectors must have length {n}, got {len(u1)} and {len(u2)}"
-        )
     from .f2 import F2Matrix
 
+    n = a.nrows
     b1 = a.mat_vec(u1)
     b2 = a.mat_vec(u2)
-    corner = b1.dot(u2)
-    rows = [(b1.bits << 1) | (corner << (n + 1))]
+    corner = (b1 & u2).bit_count() & 1
+    rows = [(b1 << 1) | (corner << (n + 1))]
     for i, r in enumerate(a.rows):
-        rows.append(b1[i] | (r << 1) | (b2[i] << (n + 1)))
-    rows.append(corner | (b2.bits << 1))
+        rows.append((b1 >> i & 1) | (r << 1) | ((b2 >> i & 1) << (n + 1)))
+    rows.append(corner | (b2 << 1))
     return F2Matrix.from_row_bits(rows, n + 2)
 
 

@@ -1,7 +1,9 @@
 """Dense GF(2) linear algebra on bit-packed rows.
 
-Vectors and matrix rows are Python ints used as bitsets: bit j is column j.
-All indices are 0-based.
+Vectors and matrix rows are Python ints used as bitsets: bit j is coordinate
+j, and a row's coordinates are its columns. A vector's length is that of the
+matrix it goes with, and a function that takes one refuses a mask with a
+negative value or a bit at or past that length. All indices are 0-based.
 
 The kernels work a machine word's worth of bits, or more, per big-int
 operation, rather than one bit per Python step:
@@ -28,12 +30,11 @@ operation, rather than one bit per Python step:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import ContractError, InternalInvariantError, InvalidMoveError
 
 __all__ = [
-    "F2Vector",
     "F2Matrix",
     "rank",
     "kernel_basis",
@@ -43,8 +44,6 @@ __all__ = [
     "is_mcds_sortable",
     "mcds_distance",
 ]
-
-BitsLike = Union["F2Vector", Sequence[int]]
 
 
 def _mask_from_bits(bits: Iterable[int]) -> tuple[int, int]:
@@ -56,82 +55,6 @@ def _mask_from_bits(bits: Iterable[int]) -> tuple[int, int]:
         mask |= b << n
         n += 1
     return mask, n
-
-
-class F2Vector:
-    """Immutable vector over GF(2), stored as an int bitset."""
-
-    __slots__ = ("n", "bits")
-
-    def __init__(self, entries: Iterable[int]):
-        mask, n = _mask_from_bits(entries)
-        object.__setattr__(self, "bits", mask)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("F2Vector is immutable")
-
-    @classmethod
-    def from_bits(cls, bits: int, n: int) -> "F2Vector":
-        if n < 0 or bits < 0 or bits >> n:
-            raise ContractError(f"bit mask {bits:#x} does not fit in {n} bits")
-        v = cls.__new__(cls)
-        object.__setattr__(v, "bits", bits)
-        object.__setattr__(v, "n", n)
-        return v
-
-    @classmethod
-    def zeros(cls, n: int) -> "F2Vector":
-        return cls.from_bits(0, n)
-
-    @classmethod
-    def unit(cls, n: int, j: int) -> "F2Vector":
-        if not 0 <= j < n:
-            raise ContractError(f"unit index {j} out of range for length {n}")
-        return cls.from_bits(1 << j, n)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, j: int) -> int:
-        if not 0 <= j < self.n:
-            raise IndexError(j)
-        return (self.bits >> j) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        return ((self.bits >> j) & 1 for j in range(self.n))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, F2Vector):
-            return NotImplemented
-        return self.n == other.n and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.bits))
-
-    def __xor__(self, other: "F2Vector") -> "F2Vector":
-        if self.n != other.n:
-            raise ContractError(f"length mismatch: {self.n} vs {other.n}")
-        return F2Vector.from_bits(self.bits ^ other.bits, self.n)
-
-    __add__ = __xor__
-
-    def dot(self, other: "F2Vector") -> int:
-        if self.n != other.n:
-            raise ContractError(f"length mismatch: {self.n} vs {other.n}")
-        return (self.bits & other.bits).bit_count() & 1
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def complement(self) -> "F2Vector":
-        return F2Vector.from_bits(~self.bits & ((1 << self.n) - 1), self.n)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n) if (self.bits >> j) & 1)
-
-    def __repr__(self) -> str:
-        return f"F2Vector([{', '.join(str(b) for b in self)}])"
 
 
 # the columns j with j & s set, as one byte, for block sizes s below a byte
@@ -174,15 +97,10 @@ def _block_swap(x: int, rounds: Iterable[tuple[int, int]]) -> int:
     return x
 
 
-def _vector_bits(v: BitsLike, n: int) -> int:
-    if isinstance(v, F2Vector):
-        if v.n != n:
-            raise ContractError(f"vector length {v.n} != expected {n}")
-        return v.bits
-    mask, ln = _mask_from_bits(v)
-    if ln != n:
-        raise ContractError(f"vector length {ln} != expected {n}")
-    return mask
+def _check_mask(x: int, n: int) -> None:
+    """Refuse x unless it is the mask of a vector of length n."""
+    if x < 0 or x >> n:
+        raise ContractError(f"bit mask {x:#x} does not fit in {n} bits")
 
 
 class F2Matrix:
@@ -194,10 +112,7 @@ class F2Matrix:
         packed: list[int] = []
         width = ncols
         for row in rows:
-            if isinstance(row, F2Vector):
-                mask, n = row.bits, row.n
-            else:
-                mask, n = _mask_from_bits(row)
+            mask, n = _mask_from_bits(row)
             if width is None:
                 width = n
             elif n != width:
@@ -245,16 +160,13 @@ class F2Matrix:
             raise IndexError(key)
         return (self.rows[i] >> j) & 1
 
-    def row(self, i: int) -> F2Vector:
-        return F2Vector.from_bits(self.rows[i], self.ncols)
-
-    def column(self, j: int) -> F2Vector:
+    def column(self, j: int) -> int:
         if not 0 <= j < self.ncols:
             raise IndexError(j)
         bits = 0
         for i, r in enumerate(self.rows):
             bits |= ((r >> j) & 1) << i
-        return F2Vector.from_bits(bits, self.nrows)
+        return bits
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, F2Matrix):
@@ -307,12 +219,13 @@ class F2Matrix:
         ]
         return F2Matrix.from_row_bits(cols, nrows)
 
-    def mat_vec(self, v: BitsLike) -> F2Vector:
-        x = _vector_bits(v, self.ncols)
+    def mat_vec(self, x: int) -> int:
+        """The product of this matrix and the vector x, nrows bits long."""
+        _check_mask(x, self.ncols)
         out = 0
         for i, r in enumerate(self.rows):
             out |= ((r & x).bit_count() & 1) << i
-        return F2Vector.from_bits(out, self.nrows)
+        return out
 
     def is_symmetric(self) -> bool:
         return self.is_square and self.rows == self.transpose().rows
@@ -384,8 +297,10 @@ def rank(m: F2Matrix) -> int:
     return len(_forward(m.rows, m.ncols)[0])
 
 
-def _kernel_masks(rows: Sequence[int], ncols: int) -> list[int]:
-    pivots, red = _forward(rows, ncols)
+def kernel_basis(m: F2Matrix) -> list[int]:
+    """Basis of the null space, one vector per free column, ascending."""
+    ncols = m.ncols
+    pivots, red = _forward(m.rows, ncols)
     _back_substitute(pivots, red)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -397,14 +312,6 @@ def _kernel_masks(rows: Sequence[int], ncols: int) -> list[int]:
                 mask |= 1 << p
         basis.append(mask)
     return basis
-
-
-def kernel_basis(m: F2Matrix) -> list[F2Vector]:
-    """Basis of the null space, one vector per free column, ascending."""
-    return [
-        F2Vector.from_bits(mask, m.ncols)
-        for mask in _kernel_masks(m.rows, m.ncols)
-    ]
 
 
 def _solve_mask(rows: Sequence[int], ncols: int, rhs: int) -> int | None:
@@ -422,16 +329,13 @@ def _solve_mask(rows: Sequence[int], ncols: int, rhs: int) -> int | None:
     return sol
 
 
-def solve_linear(m: F2Matrix, b: BitsLike) -> F2Vector | None:
+def solve_linear(m: F2Matrix, b: int) -> int | None:
     """One solution of m @ x = b, or None when the system is inconsistent.
 
     Free variables are set to 0, so the returned solution is deterministic.
     """
-    rhs = _vector_bits(b, m.nrows)
-    sol = _solve_mask(m.rows, m.ncols, rhs)
-    if sol is None:
-        return None
-    return F2Vector.from_bits(sol, m.ncols)
+    _check_mask(b, m.nrows)
+    return _solve_mask(m.rows, m.ncols, b)
 
 
 def central_submatrix(m: F2Matrix, mode: str = "both") -> F2Matrix:
@@ -494,7 +398,7 @@ def is_mcds_sortable(m: F2Matrix) -> bool:
         raise ContractError("sortability needs a square matrix of size >= 2")
     n = m.nrows
     span = {(0, 0)}
-    for mask in _kernel_masks(m.rows, n):
+    for mask in kernel_basis(m):
         a, b = mask & 1, (mask >> (n - 1)) & 1
         span |= {(a ^ x, b ^ y) for (x, y) in span}
     return (1, 0) in span and (0, 1) in span

@@ -12,8 +12,7 @@ limit.
 """
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring_ascii
+import re
 from typing import TYPE_CHECKING
 
 from .errors import ContractError
@@ -38,6 +37,22 @@ __all__ = [
     "format_int",
     "format_json",
 ]
+
+# JSON strings as json.dumps writes them by default (ensure_ascii): quote,
+# backslash and every character outside printable ASCII are escaped, as in
+# the standard library's json.encoder.py_encode_basestring_ascii.
+_JSON_ESCAPE = re.compile(r'[^ !#-\[\]-~]')
+_JSON_SHORT = {
+    "\\": "\\\\",
+    '"': '\\"',
+    "\b": "\\b",
+    "\f": "\\f",
+    "\n": "\\n",
+    "\r": "\\r",
+    "\t": "\\t",
+}
+# float.__repr__ of the non-finite floats, and how json.dumps spells them
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 # format_int converts chunks of at most this many bits with Decimal(int);
 # its time is flat for chunks from 512 to 8192 bits.
@@ -90,6 +105,8 @@ def parse_permutation(text: str) -> Permutation:
 
     s = text.strip()
     if s and s[0] in "[(" and s[-1] in ")]":
+        if s[0] + s[-1] not in ("[]", "()"):
+            raise ContractError(f"mismatched brackets around permutation {s!r}")
         s = s[1:-1]
     tokens = s.replace(",", " ").split()
     if not tokens:
@@ -201,10 +218,31 @@ def format_json(value: object) -> str:
     return _json_text(value, "")
 
 
+def _json_escape(match: re.Match[str]) -> str:
+    c = match.group(0)
+    short = _JSON_SHORT.get(c)
+    if short is not None:
+        return short
+    n = ord(c)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    # a surrogate pair
+    n -= 0x10000
+    return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+
+
+def _json_string(s: str) -> str:
+    # the test runs in C, as fast as json's own encoder; a regex scan of a
+    # count's ratio, thousands of digits, would take three times as long
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    return '"' + _JSON_ESCAPE.sub(_json_escape, s) + '"'
+
+
 def _json_text(value: object, indent: str) -> str:
     """One JSON value as json.dumps(value, indent=2) writes it at this depth."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return _json_string(value)
     if value is None:
         return "null"
     if value is True:
@@ -214,7 +252,8 @@ def _json_text(value: object, indent: str) -> str:
     if isinstance(value, int):
         return format_int(int(value))
     if isinstance(value, float):
-        return json.dumps(value)
+        text = float.__repr__(value)
+        return _JSON_NON_FINITE.get(text, text)
     deeper = indent + "  "
     sep = ",\n" + deeper
     if isinstance(value, (list, tuple)):
@@ -233,7 +272,7 @@ def _json_text(value: object, indent: str) -> str:
             return "{}"
         items = sep.join(
             [
-                f"{encode_basestring_ascii(_json_key(key))}: {_json_text(item, deeper)}"
+                f"{_json_string(_json_key(key))}: {_json_text(item, deeper)}"
                 for key, item in value.items()
             ]
         )

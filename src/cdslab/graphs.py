@@ -69,12 +69,14 @@ class RootedGraph:
             root2 = n - 1
         relabel = cls.relabeling(n, root1, root2)
         rows = [0] * n
-        for u, v in edges:
+        for k, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise ContractError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
                 raise ContractError(f"self-loop at vertex {u} not allowed")
             a, b = relabel[u], relabel[v]
+            if (rows[a] >> b) & 1:
+                raise ContractError(f"edge {k + 1} of the list repeats an earlier one")
             rows[a] |= 1 << b
             rows[b] |= 1 << a
         return cls(f2.F2Matrix.from_row_bits(rows, n))
@@ -91,7 +93,8 @@ class RootedGraph:
         return self.adjacency.rows[v].bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency.row(v).support()
+        row = self.adjacency.rows[v]
+        return tuple(u for u in range(self.n) if (row >> u) & 1)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adjacency.rows[u] >> v) & 1)
@@ -176,9 +179,9 @@ def is_gcds_sortable(g: RootedGraph) -> bool:
     return f2.is_mcds_sortable(g.adjacency)
 
 
-def generalized_parity_cuts(g: RootedGraph) -> list[f2.F2Vector]:
+def generalized_parity_cuts(g: RootedGraph) -> list[int]:
     """Every generalized parity cut, i.e. the whole kernel of the adjacency
-    matrix, as characteristic vectors in ascending bit-mask order.
+    matrix, as vertex bit masks in ascending order.
 
     Limited to n <= 24 vertices; above that use f2.kernel_basis directly.
     """
@@ -188,11 +191,10 @@ def generalized_parity_cuts(g: RootedGraph) -> list[f2.F2Vector]:
             f"enumeration limited to n <= {GENERALIZED_CUT_LIMIT}; "
             "use f2.kernel_basis for a compact description"
         )
-    basis = [v.bits for v in f2.kernel_basis(g.adjacency)]
     members = {0}
-    for b in basis:
+    for b in f2.kernel_basis(g.adjacency):
         members |= {m ^ b for m in members}
-    return [f2.F2Vector.from_bits(mask, n) for mask in sorted(members)]
+    return sorted(members)
 
 
 def has_property(g: RootedGraph, which: str) -> bool:

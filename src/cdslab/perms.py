@@ -265,17 +265,10 @@ def alternating_cycles(pi: Permutation) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted((tuple(sorted(c)) for c in note.cycles), key=min))
 
 
-def alternating_cycle_vectors(pi: Permutation) -> list[f2.F2Vector]:
-    """Characteristic vectors of the alternating cycles over the n+1
-    pointers; they form an orthogonal basis of the overlap kernel."""
-    m = pi.n + 1
-    out = []
-    for cyc in alternating_cycles(pi):
-        bits = 0
-        for v in cyc:
-            bits |= 1 << v
-        out.append(f2.F2Vector.from_bits(bits, m))
-    return out
+def alternating_cycle_vectors(pi: Permutation) -> list[int]:
+    """Characteristic vectors of the alternating cycles, as bit masks over
+    the n+1 pointers; they form an orthogonal basis of the overlap kernel."""
+    return [sum(1 << v for v in cyc) for cyc in alternating_cycles(pi)]
 
 
 def precedence_matrix(pi: Permutation) -> f2.F2Matrix:

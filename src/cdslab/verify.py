@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import convert, counting, f2, formats, graphs, oracle, perms
 from .errors import ContractError, InvalidMoveError, SizeLimitError
@@ -26,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckLine:
+class CheckLine(NamedTuple):
     """One verification outcome: a named pass/fail with optional detail."""
 
     name: str
@@ -39,8 +37,7 @@ class CheckLine:
         return f"{tag} {self.name}" + (f": {self.detail}" if self.detail else "")
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     """All check lines of one suite run, with the wall-clock time spent."""
 
     suite: str
@@ -78,8 +75,7 @@ class SuiteReport:
 # frozen reference data
 
 
-@dataclass(frozen=True)
-class _TableRow:
+class _TableRow(NamedTuple):
     total: int
     sortable: int
     ratio_digits: str
@@ -526,7 +522,7 @@ def _suite_kernel(max_n: int) -> list[CheckLine]:
         scan_bad = space_bad = root_bad = count = 0
         for rows in oracle.graph_rows(n):
             g = _graph(rows)
-            cuts = {c.bits for c in graphs.generalized_parity_cuts(g)}
+            cuts = set(graphs.generalized_parity_cuts(g))
             table[rows] = (g, cuts)
             if n <= 5:
                 scanned = oracle.parity_cuts_bruteforce(g, "generalized")
@@ -598,8 +594,7 @@ def _suite_kernel(max_n: int) -> list[CheckLine]:
             adj = og.adjacency
             rows = adj.rows
             full = (1 << m) - 1
-            vecs = perms.alternating_cycle_vectors(pi)
-            masks = [v.bits for v in vecs]
+            masks = perms.alternating_cycle_vectors(pi)
             total_perms += 1
             if any(
                 (masks[i] & masks[j]).bit_count() & 1
@@ -607,7 +602,7 @@ def _suite_kernel(max_n: int) -> list[CheckLine]:
                 for j in range(i + 1, len(masks))
             ):
                 ortho_bad += 1
-            if any(adj.mat_vec(v).bits for v in vecs) or len(vecs) != (
+            if any(adj.mat_vec(v) for v in masks) or len(masks) != (
                 m - f2.rank(adj)
             ):
                 span_bad += 1
@@ -628,11 +623,10 @@ def _suite_kernel(max_n: int) -> list[CheckLine]:
                 x = 0
                 for v in pile.members:
                     x |= 1 << v
-                vec = f2.F2Vector.from_bits(x, m)
                 if (
                     x & (1 | (1 << n))
-                    or f2.central_submatrix(adj, "rows").mat_vec(vec).bits
-                    or not adj.mat_vec(vec).bits
+                    or f2.central_submatrix(adj, "rows").mat_vec(x)
+                    or not adj.mat_vec(x)
                 ):
                     pile_bad += 1
             if graphs.has_property(og, "b"):
@@ -698,7 +692,8 @@ def _decomposes(adj: f2.F2Matrix) -> bool:
     if counting.block_construct(center, u1, u2) != adj:
         return False
     if adj.is_eulerian_rows():
-        return counting.block_construct(center, u1, u1.complement()) == adj
+        full = (1 << center.nrows) - 1
+        return counting.block_construct(center, u1, u1 ^ full) == adj
     return True
 
 
@@ -709,20 +704,18 @@ def _suite_blocks(max_n: int) -> list[CheckLine]:
     for t in range(0, 4):
         for rows in oracle.graph_rows(t):
             a = f2.F2Matrix.from_row_bits(rows, t)
-            kernel = _span_masks(v.bits for v in f2.kernel_basis(a))
+            kernel = _span_masks(f2.kernel_basis(a))
             images = []
-            for ub in range(1 << t):
-                u = f2.F2Vector.from_bits(ub, t)
+            for u in range(1 << t):
                 au = a.mat_vec(u)
-                form_bad += au.dot(u)
-                for vb in range(1 << t):
-                    v = f2.F2Vector.from_bits(vb, t)
-                    form = au.dot(v)
-                    form_bad += form != a.mat_vec(v).dot(u)
+                form_bad += (au & u).bit_count() & 1
+                for v in range(1 << t):
+                    form = (au & v).bit_count() & 1
+                    form_bad += form != (a.mat_vec(v) & u).bit_count() & 1
                     image = counting.block_construct(a, u, v)
                     # the root-to-root corner is the border form (A u1) . u2
                     form_bad += image[0, t + 1] != form
-                    images.append((ub, vb, image))
+                    images.append((u, v, image))
             for u1, u2, m1 in images:
                 for v1, v2, m2 in images:
                     same = (u1 ^ v1) in kernel and (u2 ^ v2) in kernel
@@ -760,9 +753,9 @@ def _suite_blocks(max_n: int) -> list[CheckLine]:
                 continue
             solvable += 1
             last = adj.column(n - 1)
-            for k in _span_masks(v.bits for v in f2.kernel_basis(cc)):
-                u = f2.F2Vector.from_bits(u0.bits ^ k, n - 2)
-                complement_bad += cc.mat_vec(u.complement()) != last
+            full = (1 << (n - 2)) - 1
+            for k in _span_masks(f2.kernel_basis(cc)):
+                complement_bad += cc.mat_vec(u0 ^ k ^ full) != last
         decomposition.append(
             CheckLine(
                 f"sortable decomposition n={n}",
@@ -801,8 +794,8 @@ def _suite_blocks(max_n: int) -> list[CheckLine]:
         for _ in range(200):
             rows, _edges = _random_symmetric_rows(rng, t)
             center = f2.F2Matrix.from_row_bits(rows, t)
-            u1 = f2.F2Vector.from_bits(rng.getrandbits(t), t)
-            u2 = f2.F2Vector.from_bits(rng.getrandbits(t), t)
+            u1 = rng.getrandbits(t)
+            u2 = rng.getrandbits(t)
             built = counting.block_construct(center, u1, u2)
             samples += 1
             if (
@@ -921,7 +914,7 @@ def _suite_random(max_n: int) -> list[CheckLine]:
             and moved.rows[p] == 0
             and moved.rows[q] == 0
             and f2.rank(moved) == f2.rank(m) - 2
-            and all(moved.mat_vec(v).bits == 0 for v in f2.kernel_basis(m))
+            and not any(moved.mat_vec(v) for v in f2.kernel_basis(m))
         )
 
     return [

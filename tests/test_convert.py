@@ -132,7 +132,7 @@ def _reference_realize(m: f2.F2Matrix) -> perms.Permutation | None:
     conversions; the first verified witness wins."""
     k = m.nrows
     n = k + 1
-    mu = m.mat_vec(f2.F2Vector.from_bits((1 << k) - 1, k)).bits
+    mu = m.mat_vec((1 << k) - 1)
     for i in range(1, n + 1):
         v = 0
         for row in range(min(i - 1, k)):

@@ -219,8 +219,7 @@ class TestExtensions:
 
     def test_block_construct_layout(self):
         center = f2.F2Matrix([[0, 1], [1, 0]])
-        u1 = f2.F2Vector([1, 0])
-        u2 = f2.F2Vector([0, 1])
+        u1, u2 = 0b01, 0b10
         out = block_construct(center, u1, u2)
         assert out.shape == (4, 4)
         assert out.is_symmetric() and out.is_zero_diagonal()
@@ -229,9 +228,10 @@ class TestExtensions:
         # the pairing of u1 with the image of u2
         av1 = center.mat_vec(u1)
         av2 = center.mat_vec(u2)
-        corner = u1.dot(av2)
-        assert out.column(0) == f2.F2Vector([0, *av1, corner])
-        assert out.column(3) == f2.F2Vector([corner, *av2, 0])
+        corner = (u1 & av2).bit_count() & 1
+        assert (av1, av2, corner) == (0b10, 0b01, 1)
+        assert out.column(0) == av1 << 1 | corner << 3
+        assert out.column(3) == corner | av2 << 1
 
 
 class TestMacWilliams:

@@ -1,4 +1,4 @@
-"""GF(2) vectors, matrices, elimination, and the matrix swap move."""
+"""GF(2) matrices, elimination, and the matrix swap move."""
 
 import functools
 import random
@@ -6,10 +6,10 @@ import time
 
 import pytest
 
+from cdslab.counting import block_construct
 from cdslab.errors import ContractError, InvalidMoveError
 from cdslab.f2 import (
     F2Matrix,
-    F2Vector,
     central_submatrix,
     is_mcds_sortable,
     kernel_basis,
@@ -34,55 +34,13 @@ def example() -> F2Matrix:
     return F2Matrix(EXAMPLE_ROWS)
 
 
-class TestVector:
-    def test_roundtrip(self):
-        v = F2Vector([1, 0, 1, 1])
-        assert list(v) == [1, 0, 1, 1]
-        assert len(v) == 4
-        assert v == F2Vector.from_bits(0b1101, 4)
-
-    def test_entries_validated(self):
-        with pytest.raises(ContractError):
-            F2Vector([0, 2, 1])
-        with pytest.raises(ContractError):
-            F2Vector.from_bits(0b100, 2)
-
-    def test_dot_xor_weight(self):
-        u = F2Vector([1, 1, 0, 1])
-        v = F2Vector([0, 1, 1, 1])
-        assert u.dot(v) == 0
-        assert (u ^ v) == F2Vector([1, 0, 1, 0])
-        assert u.weight() == 3
-        assert u.support() == (0, 1, 3)
-
-    def test_complement(self):
-        v = F2Vector([1, 0, 0, 1])
-        assert v.complement() == F2Vector([0, 1, 1, 0])
-
-    def test_unit_and_zeros(self):
-        assert F2Vector.unit(3, 1) == F2Vector([0, 1, 0])
-        assert F2Vector.zeros(3).weight() == 0
-        with pytest.raises(ContractError):
-            F2Vector.unit(3, 3)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ContractError):
-            F2Vector([1]).dot(F2Vector([1, 0]))
-
-    def test_immutable_and_hashable(self):
-        v = F2Vector([1, 0])
-        with pytest.raises(AttributeError):
-            v.bits = 3
-        assert len({v, F2Vector([1, 0]), F2Vector([0, 1])}) == 2
-
-
 class TestMatrix:
     def test_shape_and_entries(self):
         m = example()
         assert m.shape == (6, 6)
         assert m[0, 1] == 1 and m[0, 2] == 0
-        assert m.row(5) == F2Vector([1, 1, 0, 1, 1, 0])
-        assert m.column(0) == F2Vector([0, 1, 0, 1, 1, 1])
+        assert m.rows[5] == 0b011011
+        assert m.column(0) == 0b111010
 
     def test_from_row_bits(self):
         m = F2Matrix.from_row_bits([0b01, 0b10], 2)
@@ -99,10 +57,27 @@ class TestMatrix:
         m = example()
         assert m + m == F2Matrix.zeros(6, 6)
         for j in range(6):
-            unit = F2Vector.unit(6, j)
-            assert ident.mat_vec(unit) == unit
-            assert m.mat_vec(unit) == m.column(j)
-        assert m.mat_vec([1, 0, 0, 0, 0, 0]) == m.column(0)
+            assert ident.mat_vec(1 << j) == 1 << j
+            assert m.mat_vec(1 << j) == m.column(j)
+        assert m.mat_vec(0b11) == m.column(0) ^ m.column(1)
+
+    def test_masks_that_do_not_fit_are_refused(self):
+        wide = F2Matrix.zeros(2, 3)
+        center = F2Matrix([[0, 1], [1, 0]])
+        for bad in (-1, 0b1000):
+            with pytest.raises(ContractError, match="does not fit in 3 bits"):
+                wide.mat_vec(bad)
+        for bad in (-1, 0b100):
+            with pytest.raises(ContractError, match="does not fit in 2 bits"):
+                solve_linear(wide, bad)
+            with pytest.raises(ContractError, match="does not fit in 2 bits"):
+                block_construct(center, bad, 0)
+            with pytest.raises(ContractError, match="does not fit in 2 bits"):
+                block_construct(center, 0, bad)
+        # the widest masks that fit are accepted
+        assert wide.mat_vec(0b111) == 0
+        assert solve_linear(wide, 0b11) is None
+        assert block_construct(center, 0b11, 0b11).shape == (4, 4)
 
     def test_transpose_and_predicates(self):
         m = example()
@@ -130,8 +105,9 @@ class TestElimination:
         m = example()
         basis = kernel_basis(m)
         assert len(basis) == 6 - rank(m)
+        assert basis == [0b001010, 0b110101]
         for v in basis:
-            assert m.mat_vec(v) == F2Vector.zeros(6)
+            assert m.mat_vec(v) == 0
         assert kernel_basis(F2Matrix.identity(3)) == []
 
     def test_solve(self):
@@ -141,7 +117,8 @@ class TestElimination:
         assert x is not None
         assert m.mat_vec(x) == b
         # the zero matrix only solves b = 0
-        assert solve_linear(F2Matrix.zeros(2, 2), [1, 0]) is None
+        assert solve_linear(F2Matrix.zeros(2, 2), 0b01) is None
+        assert solve_linear(F2Matrix.zeros(2, 2), 0) == 0
 
     def test_central_submatrix_modes(self):
         m = F2Matrix([[0, 1, 0, 1], [1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 0, 0]])
@@ -160,17 +137,16 @@ class TestMcds:
     def test_rows_zeroed_and_symmetric(self):
         m = example()
         out = mcds(m, 1, 4)
-        assert out.row(1).weight() == 0
-        assert out.row(4).weight() == 0
+        assert out.rows[1] == 0
+        assert out.rows[4] == 0
         assert out.is_symmetric() and out.is_zero_diagonal()
         assert rank(out) == rank(m) - 2
 
     def test_kernel_grows(self):
         m = example()
         out = mcds(m, 1, 4)
-        zero = F2Vector.zeros(6)
         for v in kernel_basis(m):
-            assert out.mat_vec(v) == zero
+            assert out.mat_vec(v) == 0
         assert len(kernel_basis(out)) == len(kernel_basis(m)) + 2
 
     def test_requires_unit_entry(self):
@@ -286,10 +262,9 @@ def assert_matches_references(rows, ncols, rhs_values):
     assert list(m.transpose().rows) == reference_transpose(rows, ncols)
     basis = reference_kernel(rows, ncols)
     assert rank(m) == ncols - len(basis)
-    assert [v.bits for v in kernel_basis(m)] == basis
+    assert kernel_basis(m) == basis
     for rhs in rhs_values:
-        x = solve_linear(m, F2Vector.from_bits(rhs, len(rows)))
-        assert (None if x is None else x.bits) == reference_solve(rows, ncols, rhs)
+        assert solve_linear(m, rhs) == reference_solve(rows, ncols, rhs)
 
 
 class TestWordParallelKernels:
@@ -314,18 +289,14 @@ class TestWordParallelKernels:
                     family = [family[k] for k in pick]
                     ms = [ms[k] for k in pick]
                     bases = [bases[k] for k in pick]
-                assert [[v.bits for v in kernel_basis(m)] for m in ms] == bases
+                assert [kernel_basis(m) for m in ms] == bases
                 # bit i of the right-hand side says whether row i is at most 4:
                 # a rule on each row alone keeps the reference memo small, and
                 # as it is not linear, a third of the systems are inconsistent
                 rhs = [
                     sum((r <= 4) << i for i, r in enumerate(rows)) for rows in family
                 ]
-                solved = [
-                    solve_linear(m, F2Vector.from_bits(b, nrows))
-                    for m, b in zip(ms, rhs)
-                ]
-                assert [None if x is None else x.bits for x in solved] == [
+                assert [solve_linear(m, b) for m, b in zip(ms, rhs)] == [
                     reference_solve(rows, ncols, b) for rows, b in zip(family, rhs)
                 ]
 
@@ -346,9 +317,9 @@ class TestWordParallelKernels:
                         r ^= b
                 rows.append(r)
             solvable = F2Matrix.from_row_bits(rows, ncols).mat_vec(
-                F2Vector.from_bits(rng.getrandbits(ncols), ncols)
+                rng.getrandbits(ncols)
             )
-            rhs_values = [solvable.bits, rng.getrandbits(nrows)]
+            rhs_values = [solvable, rng.getrandbits(nrows)]
             assert_matches_references(rows, ncols, rhs_values)
             dense = [rng.getrandbits(ncols) for _ in range(nrows)]
             t = F2Matrix.from_row_bits(dense, ncols).transpose()

@@ -51,6 +51,7 @@ class TestFormats:
         assert formats.format_permutation(p) == "[3,2,5,1,4]"
         assert formats.parse_permutation("[3,2,5,1,4]") == p
         assert formats.parse_permutation(" 3 2 5 1 4 ") == p
+        assert formats.parse_permutation("(3 2 5 1 4)") == p
 
     def test_permutation_rejects_bad_text(self):
         with pytest.raises(ContractError):
@@ -103,6 +104,16 @@ class TestFormats:
             "g": [[0], False],
         }
         assert formats._json_text(payload, "") == json.dumps(payload, indent=2)
+        # every escape json.dumps makes: control and Latin-1 characters, the
+        # line separator, the last BMP code point, a surrogate pair and a lone
+        # surrogate; each alone, and all in one string and as keys
+        chars = [chr(c) for c in range(0x100)]
+        chars += ["\u2028", "\uffff", "\U0001f600", "\ud800"]
+        strings = {"each": chars, "all": "".join(chars), "keys": dict.fromkeys(chars)}
+        assert formats.format_json(strings) == json.dumps(strings, indent=2)
+        floats = [0.1, -0.0, 1e300, 5e-324, float("nan"), float("inf"), -float("inf")]
+        value = {"floats": floats, "keys": dict.fromkeys(floats, 1.5)}
+        assert formats.format_json(value) == json.dumps(value, indent=2)
         big = {"n": [-(3**20000), {"m": 7**9000}], "k": "x"}
         parsed = json.loads(
             formats.format_json(big), parse_int=lambda s: int(Decimal(s))
@@ -160,6 +171,15 @@ class TestPermCommands:
         assert run(["perm", "pile", "[3,2,5,1,4]"]) == 0
         assert capsys.readouterr().out.strip() == "SP=(4,2)"
 
+    def test_check_refuses_mismatched_brackets(self, capsys):
+        for text in ("[1,2)", "(2 1]"):
+            assert run(["perm", "check", text]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: mismatched brackets around permutation {text!r}\n"
+            )
+
     def test_reads_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("[2,1]\n"))
         assert run(["perm", "check", "-"]) == 0
@@ -206,6 +226,21 @@ class TestGraphCommands:
             "{1,2,3,4}",
         ]
 
+    def test_cuts_json(self, capsys):
+        assert run(["graph", "cuts", self.GRAPH, "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "command": "graph.cuts",\n  "n": 4,\n  "count": 4,\n  "cuts": [\n'
+            "    [],\n    [\n      1\n    ],\n    [\n      2,\n      3,\n      4\n"
+            "    ],\n    [\n      1,\n      2,\n      3,\n      4\n    ]\n  ]\n}\n"
+        )
+
+    def test_check_refuses_an_edge_listed_twice(self, capsys):
+        for repeat in ("1 2", "2 1"):
+            assert run(["graph", "check", "3 1 3\n1 2\n" + repeat + "\n"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: edge 2 of the list repeats an earlier one\n"
+
     def test_props(self, capsys):
         assert run(["graph", "props", self.GRAPH]) == 0
         assert capsys.readouterr().out.strip() == "eulerian=yes a=yes b=no c=no"
@@ -222,8 +257,25 @@ class TestMatrixCommands:
         assert out[0] == "dimension 2"
         m = formats.parse_matrix(self.TRIANGLE)
         for line in out[1:]:
-            vec = formats.parse_matrix(line).row(0)
-            assert m.mat_vec(vec).weight() == 0
+            assert m.mat_vec(formats.parse_matrix(line).rows[0]) == 0
+
+    def test_kernel_output_is_pinned(self, capsys):
+        pins = (
+            (self.TRIANGLE, ["1110", "0001"]),
+            (read("overlap_9.txt"), ["000010000", "111101110", "000000001"]),
+        )
+        for text, basis in pins:
+            assert run(["matrix", "kernel", text]) == 0
+            assert capsys.readouterr().out == "\n".join(
+                [f"dimension {len(basis)}", *basis, ""]
+            )
+            assert run(["matrix", "kernel", text, "--json"]) == 0
+            assert capsys.readouterr().out == (
+                '{\n  "command": "matrix.kernel",\n'
+                f'  "dimension": {len(basis)},\n  "basis": [\n'
+                + ",\n".join(f'    "{b}"' for b in basis)
+                + "\n  ]\n}\n"
+            )
 
     def test_kernel_of_full_rank_matrix_is_empty(self, capsys):
         assert run(["matrix", "kernel", "010\n100\n001\n"]) == 0
@@ -574,11 +626,46 @@ print(codes, sorted(loaded & {SLOW_IMPORTS!r}), sorted(counted & {COUNT_SLOW!r})
 """
         assert fresh_interpreter(code) == "[0, 0, 0, 0, 0, 0, 0, 0] [] []"
 
+    def test_commands_load_no_json(self):
+        code = f"""
+import contextlib, io, sys
+from cdslab.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        run(argv + extra)
+        for argv in {JSON_FREE_COMMANDS!r}
+        for extra in ([], ["--json"])
+    ]
+print(codes, "json" in sys.modules)
+"""
+        assert fresh_interpreter(code) == f"{[0] * 2 * len(JSON_FREE_COMMANDS)} False"
+
+    def test_verify_table_loads_no_dataclasses(self):
+        code = """
+import contextlib, io, sys
+from cdslab.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(["verify", "--suite", "table"])
+print(code, sorted(m for m in sys.modules if m in ("dataclasses", "inspect")))
+"""
+        assert fresh_interpreter(code) == "0 []"
+
     def test_parser_tables_match_their_modules(self):
         assert tuple(name for name, _ in cli._SUITES) == verify.SUITE_NAMES
         assert cli._COUNT_METHODS == counting.COUNT_METHODS
 
 
+# the command paths of test_commands_load_no_dataclasses_or_decimal
+JSON_FREE_COMMANDS = [
+    ["perm", "sort", "[1,4,2,5,3]"],
+    ["perm", "check", "[2,1]"],
+    ["graph", "check", "4 1 4\n2 3\n2 4\n3 4\n"],
+    ["matrix", "mcds", "0110\n1010\n1100\n0000\n", "1", "2"],
+    ["realize", "011\n101\n110\n"],
+    ["count", "--n", "5"],
+    ["count", "--n", "160", "--method", "rank_sum"],
+    ["count", "--n", "5", "--method", "brute_force"],
+]
 # the modules a fresh `import cdslab.cli` must not load
 HEAVY_MODULES = (
     "cdslab.convert",

@@ -107,9 +107,8 @@ def test_mcds_shrinks_rank_by_two(m, data):
     p, q = data.draw(st.sampled_from(ones))
     out = f2.mcds(m, p, q)
     assert f2.rank(out) == f2.rank(m) - 2
-    zero = f2.F2Vector.zeros(m.nrows)
     for v in f2.kernel_basis(m):
-        assert out.mat_vec(v) == zero
+        assert out.mat_vec(v) == 0
 
 
 @settings(deadline=None)
@@ -182,7 +181,6 @@ def test_permutation_text_roundtrip(pi):
 def test_alternating_cycle_vectors_span_the_kernel(pi):
     adjacency = perms.overlap_graph(pi).adjacency
     vectors = perms.alternating_cycle_vectors(pi)
-    zero = f2.F2Vector.zeros(adjacency.nrows)
     for v in vectors:
-        assert adjacency.mat_vec(v) == zero
+        assert adjacency.mat_vec(v) == 0
     assert len(vectors) == len(f2.kernel_basis(adjacency))
