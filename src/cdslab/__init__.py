@@ -14,11 +14,11 @@ cross-checks the two against each other.
 
 Importing the package loads none of these modules. Each submodule, and
 each name in ``__all__``, is imported on first access (PEP 562), so a
-``cdslab`` command pays only for the modules it uses: ``perm sort`` never
-loads ``verify``, ``oracle``, ``convert`` or ``counting``, and ``count``
-loads ``counting`` (with ``oracle`` for its brute-force method) but none of
-``f2``, ``graphs`` and ``perms``. No module uses dataclasses, and JSON output
-is written without the ``json`` package.
+``cdslab`` command pays only for the modules it uses: the ``perm`` commands
+load ``perms`` alone of the three views, and ``count`` loads ``counting``
+(with ``oracle`` for its brute-force method) but none of ``f2``, ``graphs``
+and ``perms``, and no ``fractions``. No module uses dataclasses, and JSON
+output is written without the ``json`` package.
 ``from cdslab import X`` and ``from cdslab import *`` work as before.
 """
 

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 # convert, counting, f2, graphs, oracle, perms and verify are imported by the
 # commands that use them, so a fresh process loads only what its subcommand
-# needs: count loads none of the three views.
+# needs: perm loads perms alone, and count none of the three views.
 from . import formats
 from .errors import CdsLabError, ContractError, InvalidMoveError, SizeLimitError
 
@@ -380,8 +380,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             "eulerian": rep.eulerian,
             "count": rep.count,
             "total": rep.total,
-            "ratio": f"{formats.format_int(rep.ratio.numerator)}/"
-            f"{formats.format_int(rep.ratio.denominator)}",
+            "ratio": "/".join(map(formats.format_int, rep.reduced)),
         },
     )
     return 0

@@ -3,22 +3,26 @@
 Everything here is exact. Counts and series terms are arbitrary-precision
 ints, each list built by its own integer ratio recurrence with exact
 division; fractions.Fraction appears only where the answer is a ratio (the
-densities, their series terms, and the convergence bounds). The irrational
-constants entering the convergence bounds (sqrt(2) and quantities derived
-from it) are handled by rational sandwiching so every reported inequality
-is a certified one.
+densities, their series terms, and the convergence bounds). A count's
+density is kept as its count and total, and CountReport.ratio builds the
+Fraction only when read, so the counts never import fractions. The
+irrational constants entering the convergence bounds (sqrt(2) and
+quantities derived from it) are handled by rational sandwiching so every
+reported inequality is a certified one.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ContractError, InternalInvariantError, SizeLimitError
 
-# Only the two center functions use f2, and import it themselves, so the
-# counts load no matrix code.
+# Only the two center functions use f2, and only the ratio and the
+# convergence bounds use fractions, and each imports what it needs, so the
+# counts load neither matrix code nor fractions (with decimal and numbers).
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .f2 import F2Matrix
 
 __all__ = [
@@ -53,7 +57,6 @@ class _CountFields(NamedTuple):
     eulerian: bool
     count: int
     total: int
-    ratio: Fraction
 
 
 class CountReport(_CountFields):
@@ -61,37 +64,22 @@ class CountReport(_CountFields):
 
     The population is 2**C(n, 2) graphs, so the total must be a power of two.
     A report is a tuple of its fields, so it also compares equal to a plain
-    tuple of the same values; building one by any route validates it.
+    tuple of the same values; building one by any route validates it. The
+    density count/total is derived from them, never stored.
     """
 
     __slots__ = ()
 
     def __new__(
-        cls,
-        n: int,
-        method: str,
-        eulerian: bool,
-        count: int,
-        total: int,
-        ratio: Fraction,
+        cls, n: int, method: str, eulerian: bool, count: int, total: int
     ) -> "CountReport":
         if method not in COUNT_METHODS:
             raise ContractError(f"unknown counting method {method!r}")
         if not 0 <= count <= total:
             raise ContractError(f"count {count} outside [0, {total}]")
-        den = ratio.denominator
-        if total & (total - 1):
+        if total < 1 or total & (total - 1):
             raise ContractError(f"total {total} is not a power of two")
-        # The ratio in lowest terms then has a power of two below it as well,
-        # and equals count/total exactly when its numerator, shifted by the
-        # gap in exponents, is count.
-        if (
-            den & (den - 1)
-            or den > total
-            or ratio.numerator << (total.bit_length() - den.bit_length()) != count
-        ):
-            raise ContractError("ratio does not equal count/total")
-        return super().__new__(cls, n, method, eulerian, count, total, ratio)
+        return super().__new__(cls, n, method, eulerian, count, total)
 
     @classmethod
     def _make(cls, iterable) -> "CountReport":
@@ -100,15 +88,29 @@ class CountReport(_CountFields):
 
     @classmethod
     def build(cls, n: int, method: str, eulerian: bool, count: int) -> "CountReport":
-        edges = n * (n - 1) // 2
-        # The total is 2**edges, so the gcd is 2 to count's trailing zeros:
-        # shifting them out leaves the ratio in lowest terms, which is what
-        # Fraction holds, without its full gcd (seconds at n = 2000). The two
-        # slots are set as Fraction's own coprime constructor does.
+        return cls(n, method, eulerian, count, 1 << (n * (n - 1) // 2))
+
+    @property
+    def reduced(self) -> tuple[int, int]:
+        """count/total in lowest terms, as (numerator, denominator).
+
+        The total is a power of two, so the gcd is 2 to count's trailing
+        zeros: shifting them out reduces the ratio without a full gcd, which
+        takes seconds at n = 2000.
+        """
+        count, edges = self.count, self.total.bit_length() - 1
         shift = min((count & -count).bit_length() - 1, edges) if count else edges
+        return count >> shift, 1 << (edges - shift)
+
+    @property
+    def ratio(self) -> Fraction:
+        """count/total as a Fraction in lowest terms, built when read."""
+        from fractions import Fraction
+
+        # the two slots are set as Fraction's own coprime constructor does
         ratio = object.__new__(Fraction)
-        ratio._numerator, ratio._denominator = count >> shift, 1 << (edges - shift)
-        return cls(n, method, eulerian, count, 1 << edges, ratio)
+        ratio._numerator, ratio._denominator = self.reduced
+        return ratio
 
 
 def block_construct(a: F2Matrix, u1: int, u2: int) -> F2Matrix:
@@ -259,6 +261,8 @@ def sqrt2_bounds(bits: int = 70) -> tuple[Fraction, Fraction]:
     """Rational sandwich lo < sqrt(2) < hi with hi - lo = 2**-bits."""
     if bits < 1:
         raise ContractError(f"need at least 1 bit of precision, got {bits}")
+    from fractions import Fraction
+
     scale = 1 << bits
     root = math.isqrt(2 * scale * scale)
     lo = Fraction(root, scale)
@@ -322,6 +326,8 @@ def convergence_report(max_n: int = 50) -> ConvergenceReport:
         raise SizeLimitError(
             f"convergence report limited to max_n <= {CONVERGENCE_LIMIT}, got {max_n}"
         )
+    from fractions import Fraction
+
     k_lo, k_hi = sqrt2_bounds()
     c_lo, c_hi = 4 - 2 * k_hi, 4 - 2 * k_lo
     t_lo, t_hi = 6 * (k_lo + 1), 6 * (k_hi + 1)

@@ -153,6 +153,9 @@ def parse_graph(text: str) -> RootedGraph:
             raise ContractError(f"edge endpoints must be integers: {exc}") from None
         if not (1 <= u <= n and 1 <= v <= n):
             raise ContractError(f"edge ({u}, {v}) out of range for n={n}")
+        # refused here, so the message names the vertex as it was typed
+        if u == v:
+            raise ContractError(f"self-loop at vertex {u} not allowed")
         edges.append((u - 1, v - 1))
     return RootedGraph.from_edges(n, edges, root1 - 1, root2 - 1)
 

@@ -5,7 +5,7 @@ Use RootedGraph.from_edges with explicit roots to relabel arbitrary input.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from . import f2
 from .errors import ContractError, InvalidMoveError, SizeLimitError
@@ -147,22 +147,10 @@ def gcds(g: RootedGraph, p: int, q: int) -> RootedGraph:
     return RootedGraph(f2.mcds(g.adjacency, p, q))
 
 
-def _context_pairs(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Adjacent non-root pairs (p, q), p < q, of symmetric bit rows, in
-    lexicographic order, scanned lazily: the first pair costs one masked row
-    per p up to its own. Shared with perms.cds_contexts and perms.sort_moves."""
-    n = len(rows)
-    inner = (1 << (n - 1)) - 1  # columns below the last root
-    for p in range(1, n - 1):
-        r = rows[p] & inner & ~((2 << p) - 1)  # columns q > p
-        while r:
-            low = r & -r
-            yield p, low.bit_length() - 1
-            r ^= low
-
-
 def context_pairs(g: RootedGraph) -> list[tuple[int, int]]:
     """All usable contexts: adjacent non-root vertex pairs (p, q), p < q."""
+    from .perms import _context_pairs
+
     return list(_context_pairs(g.adjacency.rows))
 
 

@@ -13,10 +13,15 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import xor
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from . import f2, graphs
 from .errors import ContractError, InvalidMoveError
+
+# The three functions that build a matrix or a graph import f2 and graphs
+# themselves, so the perm commands load neither.
+if TYPE_CHECKING:
+    from .f2 import F2Matrix
+    from .graphs import RootedGraph
 
 __all__ = [
     "Permutation",
@@ -127,9 +132,23 @@ def _overlap_rows(pi: Permutation) -> list[int]:
     return [prefix[hi] ^ prefix[lo + 1] for lo, hi in slots]
 
 
+def _context_pairs(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Adjacent non-root pairs (p, q), p < q, of symmetric bit rows, in
+    lexicographic order, scanned lazily: the first pair costs one masked row
+    per p up to its own. Shared with graphs.context_pairs."""
+    n = len(rows)
+    inner = (1 << (n - 1)) - 1  # columns below the last root
+    for p in range(1, n - 1):
+        r = rows[p] & inner & ~((2 << p) - 1)  # columns q > p
+        while r:
+            low = r & -r
+            yield p, low.bit_length() - 1
+            r ^= low
+
+
 def cds_contexts(pi: Permutation) -> list[tuple[int, int]]:
     """Usable contexts: non-root pointer pairs (p, q), p < q, that alternate."""
-    return list(graphs._context_pairs(_overlap_rows(pi)))
+    return list(_context_pairs(_overlap_rows(pi)))
 
 
 def apply_cds(pi: Permutation, p: int, q: int) -> Permutation:
@@ -240,20 +259,23 @@ def is_cds_sortable(pi: Permutation) -> bool:
     return strategic_pile(pi).is_empty
 
 
-def overlap_graph(pi: Permutation) -> graphs.RootedGraph:
+def overlap_graph(pi: Permutation) -> RootedGraph:
     """Pointer-overlap graph: vertices are the n+1 pointers, the roots are
     pointers 0 and n, and two pointers are adjacent iff their occurrence
     slots strictly alternate."""
-    return graphs.RootedGraph(
-        f2.F2Matrix.from_row_bits(_overlap_rows(pi), pi.n + 1)
-    )
+    from .f2 import F2Matrix
+    from .graphs import RootedGraph
+
+    return RootedGraph(F2Matrix.from_row_bits(_overlap_rows(pi), pi.n + 1))
 
 
-def move_graph(pi: Permutation) -> f2.F2Matrix:
+def move_graph(pi: Permutation) -> F2Matrix:
     """Adjacency of the non-root pointers only: the central part of the
     overlap adjacency, an (n-1) x (n-1) matrix (vertex i is pointer i+1)."""
     if pi.n < 2:
         raise ContractError("move graph needs n >= 2")
+    from . import f2
+
     overlap = f2.F2Matrix.from_row_bits(_overlap_rows(pi), pi.n + 1)
     return f2.central_submatrix(overlap, "both")
 
@@ -271,16 +293,18 @@ def alternating_cycle_vectors(pi: Permutation) -> list[int]:
     return [sum(1 << v for v in cyc) for cyc in alternating_cycles(pi)]
 
 
-def precedence_matrix(pi: Permutation) -> f2.F2Matrix:
+def precedence_matrix(pi: Permutation) -> F2Matrix:
     """(n+2) x (n+2) matrix over the framed values: entry (r, c) is 1 iff
     value r appears before value c in the framed permutation."""
+    from .f2 import F2Matrix
+
     framed = pi.framed()
     rows = [0] * len(framed)
     after = 0
     for v in reversed(framed):
         rows[v] = after
         after |= 1 << v
-    return f2.F2Matrix.from_row_bits(rows, len(framed))
+    return F2Matrix.from_row_bits(rows, len(framed))
 
 
 def sort_moves(pi: Permutation) -> list[tuple[int, int]] | None:
@@ -295,7 +319,7 @@ def sort_moves(pi: Permutation) -> list[tuple[int, int]] | None:
     moves = []
     cur = pi
     while True:
-        ctx = next(graphs._context_pairs(_overlap_rows(cur)), None)
+        ctx = next(_context_pairs(_overlap_rows(cur)), None)
         if ctx is None:
             break
         moves.append(ctx)

@@ -17,6 +17,7 @@ import cdslab
 from cdslab import cli, counting, f2, formats, oracle, perms, verify
 from cdslab.cli import run
 from cdslab.errors import ContractError
+from cdslab.graphs import RootedGraph
 from test_convert import _reference_realize, seeded_move_graphs
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -240,6 +241,15 @@ class TestGraphCommands:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: edge 2 of the list repeats an earlier one\n"
+
+    def test_check_names_a_self_loop_as_typed(self, capsys):
+        assert run(["graph", "check", "3 1 3\n2 2\n"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: self-loop at vertex 2 not allowed\n"
+        # library callers pass 0-based vertices, and read them back so
+        with pytest.raises(ContractError, match="self-loop at vertex 1 not"):
+            RootedGraph.from_edges(3, [(1, 1)])
 
     def test_props(self, capsys):
         assert run(["graph", "props", self.GRAPH]) == 0
@@ -554,6 +564,36 @@ PINNED_LINES = {
 }
 
 
+# each command path, with the cdslab modules it loads beyond cli, errors and
+# formats
+_GRAPH = "4 1 4\n2 3\n2 4\n3 4\n"
+_MATRIX = "0110\n1010\n1100\n0000\n"
+_PRECEDENCE = "0111\n0011\n0001\n0000\n"
+COMMAND_MODULES = [
+    *(
+        (["perm", cmd, "[1,4,2,5,3]"], {"perms"})
+        for cmd in ("sort", "check", "cycles", "pile")
+    ),
+    (["graph", "check", _GRAPH], {"graphs", "f2"}),
+    (["graph", "gcds", _GRAPH, "2", "3"], {"graphs", "f2"}),
+    (["graph", "cuts", _GRAPH], {"graphs", "f2"}),
+    (["graph", "props", _GRAPH], {"graphs", "f2"}),
+    (["matrix", "mcds", _MATRIX, "1", "2"], {"f2"}),
+    (["matrix", "rank", _MATRIX], {"f2"}),
+    (["matrix", "kernel", _MATRIX], {"f2"}),
+    (["realize", "011\n101\n110\n"], {"convert", "f2", "perms"}),
+    (["convert", "adj2prec", "000\n000\n000\n"], {"convert", "f2", "perms"}),
+    (["convert", "prec2adj", _PRECEDENCE], {"convert", "f2", "perms"}),
+    (["count", "--n", "5"], {"counting"}),
+    (["count", "--n", "160", "--method", "rank_sum", "--json"], {"counting"}),
+    (["count", "--n", "160", "--eulerian", "--json"], {"counting"}),
+    (
+        ["count", "--n", "6", "--method", "brute_force", "--json"],
+        {"counting", "oracle"},
+    ),
+]
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -593,14 +633,34 @@ print(seen)
 """
             return fresh_interpreter(code)
 
-        views = ["cdslab.f2", "cdslab.graphs", "cdslab.perms"]
-        assert loads(["perm", "sort", "[1,4,2,5,3]"]) == repr([[], views])
+        assert loads(["perm", "sort", "[1,4,2,5,3]"]) == repr([[], ["cdslab.perms"]])
         counts = ["cdslab.counting", "cdslab.oracle"]
         assert loads(
             ["count", "--n", "5"],
             ["count", "--n", "160", "--method", "rank_sum"],
             ["count", "--n", "5", "--method", "brute_force"],
         ) == repr([[], counts[:1], counts[:1], counts])
+
+    @pytest.mark.parametrize(
+        "argv,modules",
+        COMMAND_MODULES,
+        ids=["_".join(w for w in a[:2] if w[0] != "-") for a, _ in COMMAND_MODULES],
+    )
+    def test_each_command_loads_its_own_modules(self, argv, modules):
+        # a fresh interpreter per row; every command also loads cdslab.cli,
+        # cdslab.errors and cdslab.formats, and none the slow standard modules
+        code = f"""
+import contextlib, io, sys
+from cdslab.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run({argv!r})
+base = {{"cdslab", "cdslab.cli", "cdslab.errors", "cdslab.formats"}}
+cdslab = [m for m in sys.modules if m.split(".")[0] == "cdslab"]
+slow = {SLOW_IMPORTS | COUNT_SLOW!r}
+print(code, sorted(set(cdslab) - base), sorted(m for m in sys.modules if m in slow))
+"""
+        want = [f"cdslab.{m}" for m in sorted(modules)]
+        assert fresh_interpreter(code) == f"0 {want} []"
 
     def test_commands_load_no_dataclasses_or_decimal(self):
         code = f"""
@@ -679,8 +739,8 @@ HEAVY_MODULES = (
 # standard modules the command path leaves alone: dataclasses pulls in
 # inspect, ast, dis and tokenize, and fractions pulls in decimal
 SLOW_IMPORTS = {"dataclasses", "inspect", "decimal", "fractions"}
-# count needs fractions for its ratio, but no more than that
-COUNT_SLOW = {"dataclasses", "inspect"}
+# count writes its ratio from ints, so it loads none of these either
+COUNT_SLOW = {"dataclasses", "inspect", "fractions", "decimal", "numbers"}
 
 
 def fresh_interpreter(code: str) -> str:

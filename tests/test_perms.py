@@ -22,6 +22,7 @@ from cdslab.perms import (
     sort_moves,
     strategic_pile,
 )
+from test_formats_cli import fresh_interpreter
 
 EXAMPLE = Permutation([3, 2, 5, 1, 4])
 
@@ -217,6 +218,21 @@ class TestSortMoves:
         assert (moves is not None) == sortable
         assert moves == reference_sort_moves(p)
 
+    def test_move_count_is_the_block_interchange_distance(self):
+        # (n + 1 - c) / 2 block interchanges, with c the cycles of the
+        # composed map; sort_moves fails exactly on a non-empty pile
+        sortable = 0
+        for n in range(1, 8):
+            for tup in permutations(range(1, n + 1)):
+                p = Permutation(tup)
+                moves = sort_moves(p)
+                assert (moves is None) == bool(strategic_pile(p))
+                if moves is not None:
+                    sortable += 1
+                    cycles = len(cycle_notation(p).cycles)
+                    assert len(moves) * 2 == n + 1 - cycles
+        assert sortable == 1 + 1 + 4 + 13 + 72 + 390 + 2880
+
     def test_replay_at_n_1000(self):
         p = next(p for p, sortable in seeded_permutations(1000, 1000) if sortable)
         moves = sort_moves(p)
@@ -284,3 +300,12 @@ class TestDerivedGraphs:
         for i in range(n + 2):
             for j in range(n + 2):
                 assert prec[i, j] == (1 if i < j else 0)
+
+
+class TestImports:
+    def test_perms_loads_no_matrix_or_graph_code(self):
+        code = (
+            "import cdslab.perms, sys; print(sorted(m for m in sys.modules "
+            "if m.startswith('cdslab.')))"
+        )
+        assert fresh_interpreter(code) == "['cdslab.errors', 'cdslab.perms']"
