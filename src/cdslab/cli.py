@@ -21,7 +21,7 @@ from . import formats
 from .errors import CdsLabError, ContractError, InvalidMoveError, SizeLimitError
 
 if TYPE_CHECKING:
-    from . import f2, graphs, perms
+    from . import f2, graphs
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -65,7 +65,7 @@ def _emit(args: argparse.Namespace, text: str, payload: dict[str, object]) -> No
         print(text.rstrip("\n"))
 
 
-def _pile_text(pile: perms.StrategicPile) -> str:
+def _pile_text(pile: tuple[int, ...]) -> str:
     return "(" + ",".join(map(str, pile)) + ")"
 
 
@@ -82,14 +82,14 @@ def _cmd_perm_check(args: argparse.Namespace) -> int:
 
     pi = formats.parse_permutation(_read_text(args.data))
     pile = perms.strategic_pile(pi)
-    text = "SORTABLE" if pile.is_empty else f"UNSORTABLE SP={_pile_text(pile)}"
+    text = f"UNSORTABLE SP={_pile_text(pile)}" if pile else "SORTABLE"
     _emit(
         args,
         text,
         {
             "command": "perm.check",
             "permutation": list(pi.elements),
-            "sortable": pile.is_empty,
+            "sortable": not pile,
             "strategic_pile": list(pile),
         },
     )
@@ -167,7 +167,7 @@ def _cmd_perm_pile(args: argparse.Namespace) -> int:
             "command": "perm.pile",
             "permutation": list(pi.elements),
             "strategic_pile": list(pile),
-            "empty": pile.is_empty,
+            "empty": not pile,
         },
     )
     return 0
@@ -208,10 +208,16 @@ def _cmd_graph_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _swap(args: argparse.Namespace, swap, target, nouns: str):
-    """swap(target, p, q) at the 1-based p, q of the command line."""
+def _swap(args: argparse.Namespace, swap, target, size: int, nouns: str):
+    """swap(target, p, q) at the 1-based p, q of the command line, both
+    checked against the target's size before the 0-based swap sees them."""
     if args.p < 1 or args.q < 1:
         raise InvalidMoveError(f"{nouns} are numbered from 1")
+    if args.p > size or args.q > size:
+        raise InvalidMoveError(
+            f"cannot swap on {nouns} {args.p}, {args.q}: "
+            f"{nouns} run from 1 to {size}"
+        )
     try:
         return swap(target, args.p - 1, args.q - 1)
     except InvalidMoveError as exc:
@@ -224,7 +230,7 @@ def _cmd_graph_gcds(args: argparse.Namespace) -> int:
     from . import graphs
 
     g = formats.parse_graph(_read_text(args.data))
-    moved = _swap(args, graphs.gcds, g, "vertices")
+    moved = _swap(args, graphs.gcds, g, g.n, "vertices")
     _emit(args, formats.format_graph(moved), _graph_payload("graph.gcds", moved))
     return 0
 
@@ -271,7 +277,10 @@ def _cmd_matrix_mcds(args: argparse.Namespace) -> int:
     from . import f2
 
     m = formats.parse_matrix(_read_text(args.data))
-    moved = _swap(args, f2.mcds, m, "indices")
+    # the shape comes first: the indices of a non-square matrix have no range
+    if not m.is_square:
+        raise ContractError(f"mcds needs a square matrix, got {m.shape}")
+    moved = _swap(args, f2.mcds, m, m.nrows, "indices")
     _emit(
         args,
         formats.format_matrix(moved),
@@ -432,11 +441,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
     if args.max_n < 3:
         raise ContractError(f"the table starts at n=3, got max-n {args.max_n}")
-    # checked before the first row, so a table that cannot finish fails at once
-    if args.max_n > counting.TABLE_LIMIT:
-        raise SizeLimitError(
-            f"table limited to max-n <= {counting.TABLE_LIMIT}, got {args.max_n}"
-        )
+    counting.check_table_size(args.max_n)
     if args.brute_force:
         from . import oracle
 

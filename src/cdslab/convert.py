@@ -2,16 +2,21 @@
 
 The overlap adjacency of a permutation of n is (n+1) x (n+1) (one row per
 pointer); its precedence matrix is (n+2) x (n+2) (one row per framed value,
-entry (r, c) = 1 iff value r comes before value c). The two are linked by a
-small transform calculus: an upper-bidiagonal ones matrix, a corner
-embedding, a 2x2-window XOR, and a running prefix XOR.
+entry (r, c) = 1 iff value r comes before value c). Both directions work on
+int bit rows. With rp(w) the prefix XOR along a row (bit j of rp(w) is the
+XOR of bits 0..j of w) and e_j the unit row:
 
-Realization rests on one identity. prefix_xor is linear over GF(2): a bit
-at (r, c) spreads to every (i >= r, j >= c). The candidate adjacencies of a
-move graph M of size n-1 differ only in their border (v, u, x), so with S
-the prefix rows of the fixed part (the corner, M shifted in, the
-bidiagonal), V = rp(v << 2) and U = rp(u << 2), where rp(w) sets bit j to
-the XOR of bits 0..j of w, the candidate's precedence row i >= 1 is
+- precedence row i is rp(A_i << 1) ^ e_{i+1} ^ ... ^ e_{n+1}, where A_i is
+  the XOR of the adjacency rows 0..i-1 (`_precedence_rows`);
+- adjacency row i is w ^ (w >> 1) ^ e_i ^ e_{i+1}, cut to n+1 columns, where
+  w is the XOR of the precedence rows i and i+1.
+
+Realization rests on the first map being affine over GF(2): the precedence
+rows of a sum of adjacencies are those of one plus the linear part
+rp(A_i << 1) of the other. The candidate adjacencies of a move graph M of
+size n-1 differ only in their border (v, u, x), so with S the precedence
+rows of the fixed part (M shifted in, zero border), V = rp(v << 2) and
+U = rp(u << 2), the candidate's precedence row i >= 1 is
 
     S_i ^ V ^ [V_i] ones(1..n+1) ^ [U_i ^ x] e_{n+1}
         ^ [i = n+1] (U ^ [x] ones(1..n+1))
@@ -22,69 +27,20 @@ each candidate costs O(n) big-int operations.
 """
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import xor
 from typing import Sequence
 
 from . import f2, perms
 from .errors import ContractError
 
 __all__ = [
-    "bidiagonal_ones",
-    "corner_embed",
-    "window_xor",
-    "prefix_xor",
     "adjacency_to_precedence",
     "precedence_to_adjacency",
     "is_precedence_matrix",
     "permutation_from_precedence",
     "realize_move_graph",
 ]
-
-
-def bidiagonal_ones(n: int) -> f2.F2Matrix:
-    """n x n matrix with ones exactly on the diagonal and superdiagonal."""
-    if n < 1:
-        raise ContractError(f"size must be >= 1, got {n}")
-    rows = [(1 << i) | (1 << (i + 1)) for i in range(n - 1)]
-    rows.append(1 << (n - 1))
-    return f2.F2Matrix.from_row_bits(rows, n)
-
-
-def corner_embed(a: f2.F2Matrix) -> f2.F2Matrix:
-    """Grow n x n to (n+1) x (n+1): a 1 in the new top-left corner, zeros in
-    the rest of the new first row and column, the input shifted down-right."""
-    if not a.is_square:
-        raise ContractError(f"need a square matrix, got {a.shape}")
-    rows = [1] + [r << 1 for r in a.rows]
-    return f2.F2Matrix.from_row_bits(rows, a.ncols + 1)
-
-
-def window_xor(a: f2.F2Matrix) -> f2.F2Matrix:
-    """Shrink n x n to (n-1) x (n-1): entry (i, j) is the XOR of the 2x2
-    window of the input at (i, j)."""
-    if not a.is_square or a.nrows < 2:
-        raise ContractError(f"need a square matrix of size >= 2, got {a.shape}")
-    n = a.nrows
-    rows = []
-    for i in range(n - 1):
-        w = a.rows[i] ^ a.rows[i + 1]
-        rows.append((w ^ (w >> 1)) & ((1 << (n - 1)) - 1))
-    return f2.F2Matrix.from_row_bits(rows, n - 1)
-
-
-def prefix_xor(a: f2.F2Matrix) -> f2.F2Matrix:
-    """Entry (i, j) becomes the XOR of the input rectangle [0..i] x [0..j].
-
-    This is a bijection on square GF(2) matrices; window_xor of the output,
-    suitably aligned, recovers the input.
-    """
-    if not a.is_square:
-        raise ContractError(f"need a square matrix, got {a.shape}")
-    rows = []
-    acc = 0
-    for r in a.rows:
-        acc ^= r
-        rows.append(_row_prefix(acc, a.ncols))
-    return f2.F2Matrix.from_row_bits(rows, a.ncols)
 
 
 def _row_prefix(w: int, width: int) -> int:
@@ -98,6 +54,17 @@ def _row_prefix(w: int, width: int) -> int:
     return w
 
 
+def _precedence_rows(adjacency_rows: Sequence[int]) -> list[int]:
+    """Precedence rows of the adjacency with these bit rows, by the row
+    identity in the module docstring; the rows are not checked."""
+    size = len(adjacency_rows) + 1
+    full = (1 << size) - 1
+    return [
+        _row_prefix(above << 1, size) ^ (full >> (i + 1) << (i + 1))
+        for i, above in enumerate(accumulate(adjacency_rows, xor, initial=0))
+    ]
+
+
 def adjacency_to_precedence(a: f2.F2Matrix) -> f2.F2Matrix:
     """Precedence matrix of the permutation whose overlap adjacency is `a`.
 
@@ -107,8 +74,7 @@ def adjacency_to_precedence(a: f2.F2Matrix) -> f2.F2Matrix:
         raise ContractError(f"adjacency must be square, got {a.shape}")
     if not a.is_symmetric() or not a.is_zero_diagonal():
         raise ContractError("adjacency must be symmetric with a zero diagonal")
-    z = corner_embed(a)
-    return prefix_xor(z + bidiagonal_ones(z.nrows))
+    return f2.F2Matrix.from_row_bits(_precedence_rows(a.rows), a.nrows + 1)
 
 
 def precedence_to_adjacency(p: f2.F2Matrix) -> f2.F2Matrix:
@@ -118,7 +84,13 @@ def precedence_to_adjacency(p: f2.F2Matrix) -> f2.F2Matrix:
     """
     if not p.is_square or p.nrows < 2:
         raise ContractError(f"precedence matrix must be square >= 2, got {p.shape}")
-    return window_xor(p) + bidiagonal_ones(p.nrows - 1)
+    size = p.nrows - 1
+    mask = (1 << size) - 1
+    rows = []
+    for i in range(size):
+        w = p.rows[i] ^ p.rows[i + 1]
+        rows.append((w ^ (w >> 1) ^ (3 << i)) & mask)
+    return f2.F2Matrix.from_row_bits(rows, size)
 
 
 def _total_order(rows: Sequence[int]) -> list[int] | None:
@@ -192,8 +164,7 @@ def realize_move_graph(m: f2.F2Matrix) -> perms.Permutation | None:
     size = n + 2  # framed precedence size
     last = 1 << (size - 1)
     from_one = (1 << size) - 2
-    fixed = f2.F2Matrix.from_row_bits([0, *(r << 1 for r in m.rows), 0], n + 1)
-    shared = prefix_xor(corner_embed(fixed) + bidiagonal_ones(size)).rows
+    shared = _precedence_rows([0, *(r << 1 for r in m.rows), 0])
     mu = m.mat_vec((1 << k) - 1)
     above = 0  # XOR of the move graph's rows above hypothesis i
     for i in range(1, n + 1):

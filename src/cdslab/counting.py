@@ -33,6 +33,7 @@ __all__ = [
     "TABLE_LIMIT",
     "CONVERGENCE_LIMIT",
     "check_count_floor",
+    "check_table_size",
     "block_construct",
     "sortable_extensions_count",
     "macwilliams_count",
@@ -113,6 +114,16 @@ class CountReport(_CountFields):
         return ratio
 
 
+def _check_center(a: F2Matrix) -> None:
+    """Refuse a center that is not a symmetric zero-diagonal square."""
+    if not a.is_square:
+        raise ContractError(f"center must be square, got {a.shape}")
+    if not a.is_symmetric():
+        raise ContractError("center must be symmetric")
+    if not a.is_zero_diagonal():
+        raise ContractError("center must have a zero diagonal")
+
+
 def block_construct(a: F2Matrix, u1: int, u2: int) -> F2Matrix:
     """Extend an n x n center to an (n+2) x (n+2) two-rooted adjacency matrix.
 
@@ -121,12 +132,7 @@ def block_construct(a: F2Matrix, u1: int, u2: int) -> F2Matrix:
     when they do not fit. The center must be symmetric with zero diagonal;
     the output then is too, and is always swap-sortable.
     """
-    if not a.is_square:
-        raise ContractError(f"center must be square, got {a.shape}")
-    if not a.is_symmetric():
-        raise ContractError("center must be symmetric")
-    if not a.is_zero_diagonal():
-        raise ContractError("center must have a zero diagonal")
+    _check_center(a)
     from .f2 import F2Matrix
 
     n = a.nrows
@@ -146,12 +152,7 @@ def sortable_extensions_count(a: F2Matrix, eulerian: bool = False) -> int:
     Each center of rank r admits 4**r sortable extensions, of which 2**r
     are Eulerian.
     """
-    if not a.is_square:
-        raise ContractError(f"center must be square, got {a.shape}")
-    if not a.is_symmetric():
-        raise ContractError("center must be symmetric")
-    if not a.is_zero_diagonal():
-        raise ContractError("center must have a zero diagonal")
+    _check_center(a)
     from . import f2
 
     base = 2 if eulerian else 4
@@ -213,6 +214,13 @@ def check_count_floor(n: int) -> None:
     """Refuse sizes below the formulas' domain, which every count method shares."""
     if n < 3:
         raise ContractError(f"counting needs n >= 3, got {n}")
+
+
+def check_table_size(max_n: int) -> None:
+    """Refuse a count table past TABLE_LIMIT before its first row, so a table
+    that cannot finish fails at once."""
+    if max_n > TABLE_LIMIT:
+        raise SizeLimitError(f"table limited to max-n <= {TABLE_LIMIT}, got {max_n}")
 
 
 def _check_count_size(n: int) -> None:

@@ -176,13 +176,6 @@ class F2Matrix:
     def __hash__(self) -> int:
         return hash((self.ncols, self.rows))
 
-    def __add__(self, other: "F2Matrix") -> "F2Matrix":
-        if self.shape != other.shape:
-            raise ContractError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return F2Matrix.from_row_bits(
-            [a ^ b for a, b in zip(self.rows, other.rows)], self.ncols
-        )
-
     def transpose(self) -> "F2Matrix":
         nrows, ncols = self.nrows, self.ncols
         if nrows > _TILE_CAP:
@@ -239,11 +232,10 @@ class F2Matrix:
         """True when every row has even weight."""
         return all(r.bit_count() % 2 == 0 for r in self.rows)
 
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
-
     def __repr__(self) -> str:
-        body = ", ".join(repr(row) for row in self.to_lists())
+        body = ", ".join(
+            repr([(r >> j) & 1 for j in range(self.ncols)]) for r in self.rows
+        )
         return f"F2Matrix([{body}])"
 
 

@@ -45,18 +45,6 @@ class RootedGraph:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RootedGraph is immutable")
 
-    @staticmethod
-    def relabeling(n: int, root1: int, root2: int) -> list[int]:
-        """Old-vertex -> new-vertex map that sends root1 to 0 and root2 to n-1,
-        keeping all other vertices in their original relative order."""
-        if root1 == root2 or not (0 <= root1 < n and 0 <= root2 < n):
-            raise ContractError("roots must be two distinct vertices")
-        order = [root1] + [v for v in range(n) if v not in (root1, root2)] + [root2]
-        new_of_old = [0] * n
-        for new, old in enumerate(order):
-            new_of_old[old] = new
-        return new_of_old
-
     @classmethod
     def from_edges(
         cls,
@@ -65,9 +53,17 @@ class RootedGraph:
         root1: int = 0,
         root2: int | None = None,
     ) -> "RootedGraph":
+        """The graph on vertices 0..n-1 with these edges, relabelled so that
+        root1 becomes vertex 0 and root2 vertex n-1, the other vertices
+        keeping their relative order."""
         if root2 is None:
             root2 = n - 1
-        relabel = cls.relabeling(n, root1, root2)
+        if root1 == root2 or not (0 <= root1 < n and 0 <= root2 < n):
+            raise ContractError("roots must be two distinct vertices")
+        order = [root1] + [v for v in range(n) if v not in (root1, root2)] + [root2]
+        relabel = [0] * n
+        for new, old in enumerate(order):
+            relabel[old] = new
         rows = [0] * n
         for k, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
@@ -91,10 +87,6 @@ class RootedGraph:
 
     def degree(self, v: int) -> int:
         return self.adjacency.rows[v].bit_count()
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        row = self.adjacency.rows[v]
-        return tuple(u for u in range(self.n) if (row >> u) & 1)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adjacency.rows[u] >> v) & 1)

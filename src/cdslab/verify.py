@@ -14,7 +14,7 @@ import time
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import convert, counting, f2, formats, graphs, oracle, perms
-from .errors import ContractError, InvalidMoveError, SizeLimitError
+from .errors import ContractError, InvalidMoveError
 
 __all__ = [
     "CheckLine",
@@ -176,10 +176,7 @@ def _random_symmetric_rows(
 
 
 def _suite_table(max_n: int) -> list[CheckLine]:
-    if max_n > counting.TABLE_LIMIT:
-        raise SizeLimitError(
-            f"table limited to max-n <= {counting.TABLE_LIMIT}, got {max_n}"
-        )
+    counting.check_table_size(max_n)
     out = []
     for n in range(3, min(max_n, 10) + 1):
         row = _TABLE[n]
@@ -614,14 +611,14 @@ def _suite_kernel(max_n: int) -> list[CheckLine]:
             ):
                 union_bad += 1
             pile = perms.strategic_pile(pi)
-            if pile.is_empty:
+            if not pile:
                 sortable_perms += 1
                 if f2.rank(f2.central_submatrix(adj, "rows")) != f2.rank(adj):
                     end_rows_bad += 1
             else:
                 piles += 1
                 x = 0
-                for v in pile.members:
+                for v in pile:
                     x |= 1 << v
                 if (
                     x & (1 | (1 << n))
@@ -962,12 +959,14 @@ SUITE_NAMES = tuple(_SUITES) + ("all",)
 def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
     """Run one named suite and collect its check lines.
 
-    ``all`` runs every suite at its default size (max_n is ignored there,
-    since the sizes mean different things per suite). Unknown names raise
-    ContractError.
+    ``all`` runs every suite at its default size; since the sizes mean
+    different things per suite, a max_n with ``all`` raises ContractError
+    rather than being ignored. Unknown names raise ContractError too.
     """
     start = time.perf_counter()
     if name == "all":
+        if max_n is not None:
+            raise ContractError("--max-n applies to a single suite, not to all")
         checks: list[CheckLine] = []
         for sub, (fn, default) in _SUITES.items():
             for line in fn(default):

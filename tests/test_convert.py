@@ -21,32 +21,52 @@ def golden(name: str) -> f2.F2Matrix:
         return formats.parse_matrix(fh.read())
 
 
-class TestPrimitives:
-    def test_bidiagonal_ones(self):
-        assert convert.bidiagonal_ones(3) == f2.F2Matrix(
-            [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
-        )
-        with pytest.raises(ContractError):
-            convert.bidiagonal_ones(0)
+def random_symmetric(n: int, rng: random.Random) -> f2.F2Matrix:
+    """A seeded symmetric zero-diagonal n x n matrix."""
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.getrandbits(1):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return f2.F2Matrix.from_row_bits(rows, n)
 
-    def test_corner_embed(self):
-        grown = convert.corner_embed(f2.F2Matrix([[0, 1], [1, 0]]))
-        assert grown == f2.F2Matrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
 
-    def test_prefix_window_inverse(self):
-        rng = random.Random(3)
-        for n in (1, 2, 5, 9):
-            m = f2.F2Matrix.from_row_bits(
-                [rng.getrandbits(n) for _ in range(n)], n
-            )
-            s = convert.prefix_xor(m)
-            # the 2x2 window XOR of the padded prefix sums recovers m
-            padded = convert.corner_embed(s)
-            # strip the planted corner one before comparing
-            recovered = convert.window_xor(padded)
-            assert recovered + f2.F2Matrix.from_row_bits(
-                [1] + [0] * (n - 1), n
-            ) == m
+def reference_precedence(a: f2.F2Matrix) -> f2.F2Matrix:
+    """The precedence matrix by its matrix definition, entry by entry: grow
+    a by a 1 in a new top-left corner (a shifted down-right), add ones on
+    the diagonal and the superdiagonal, then make entry (i, j) the XOR of
+    the rectangle [0..i] x [0..j]."""
+    size = a.nrows + 1
+    z = [[0] * size for _ in range(size)]
+    z[0][0] = 1
+    for i in range(a.nrows):
+        for j in range(a.nrows):
+            z[i + 1][j + 1] = a[i, j]
+    for i in range(size):
+        z[i][i] ^= 1
+        if i + 1 < size:
+            z[i][i + 1] ^= 1
+    out = [[0] * (size + 1) for _ in range(size + 1)]  # a zero row and column
+    for i in range(size):
+        for j in range(size):
+            out[i + 1][j + 1] = z[i][j] ^ out[i][j + 1] ^ out[i + 1][j] ^ out[i][j]
+    return f2.F2Matrix([row[1:] for row in out[1:]])
+
+
+def reference_adjacency(p: f2.F2Matrix) -> f2.F2Matrix:
+    """The inverse by definition: entry (i, j) is the XOR of the 2x2 window
+    of p at (i, j), plus the diagonal and superdiagonal ones."""
+    size = p.nrows - 1
+    return f2.F2Matrix(
+        [
+            [
+                p[i, j] ^ p[i + 1, j] ^ p[i, j + 1] ^ p[i + 1, j + 1] ^ (j in (i, i + 1))
+                for j in range(size)
+            ]
+            for i in range(size)
+        ]
+    )
 
 
 class TestRoundtrip:
@@ -67,6 +87,19 @@ class TestRoundtrip:
                 assert p == perms.precedence_matrix(pi)
                 assert convert.precedence_to_adjacency(p) == a
                 assert convert.permutation_from_precedence(p) == pi
+
+    def test_matches_the_definition_on_random_matrices(self):
+        rng = random.Random("convert")
+        for n in (1, 2, 3, 5, 8, 13, 40, 200):
+            a = random_symmetric(n, rng)
+            p = convert.adjacency_to_precedence(a)
+            assert p == reference_precedence(a)
+            assert convert.precedence_to_adjacency(p) == a
+            # prec2adj takes any square matrix of size >= 2
+            q = f2.F2Matrix.from_row_bits(
+                [rng.getrandbits(n + 1) for _ in range(n + 1)], n + 1
+            )
+            assert convert.precedence_to_adjacency(q) == reference_adjacency(q)
 
     def test_rejects_non_adjacency(self):
         with pytest.raises(ContractError):
@@ -109,7 +142,7 @@ class TestPrecedencePredicate:
         good = perms.precedence_matrix(EXAMPLE_8)
         assert convert.is_precedence_matrix(good)
         # symmetric pair both set
-        bad = good + f2.F2Matrix.from_row_bits([0] * 9 + [1], 10)
+        bad = f2.F2Matrix.from_row_bits(good.rows[:9] + (good.rows[9] ^ 1,), 10)
         assert not convert.is_precedence_matrix(bad)
         assert not convert.is_precedence_matrix(f2.F2Matrix([[0, 1]]))
         # a cyclic "order": pairwise antisymmetric but not a total order

@@ -231,6 +231,18 @@ class TestExtensions:
         assert out.column(0) == av1 << 1 | corner << 3
         assert out.column(3) == corner | av2 << 1
 
+    def test_both_center_functions_refuse_the_same_centers(self):
+        bad = (
+            (f2.F2Matrix.zeros(2, 3), r"center must be square, got \(2, 3\)"),
+            (f2.F2Matrix([[0, 1], [0, 0]]), "center must be symmetric"),
+            (f2.F2Matrix([[1, 0], [0, 0]]), "center must have a zero diagonal"),
+        )
+        for center, message in bad:
+            with pytest.raises(ContractError, match=message):
+                block_construct(center, 0, 0)
+            with pytest.raises(ContractError, match=message):
+                sortable_extensions_count(center)
+
 
 class TestMacWilliams:
     def test_matches_enumeration(self):

@@ -1,6 +1,7 @@
 """Text formats and the command-line interface."""
 
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -207,6 +208,13 @@ class TestGraphCommands:
         assert run(["graph", "gcds", self.GRAPH, "0", "2"]) == 1
         assert capsys.readouterr().err == "error: vertices are numbered from 1\n"
 
+    def test_gcds_names_out_of_range_vertices_as_typed(self, capsys):
+        assert run(["graph", "gcds", "4 1 4\n2 3\n", "2", "5"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: cannot swap on vertices 2, 5: vertices run from 1 to 4\n",
+        )
+
     def test_check_names_what_is_wrong_with_a_matrix(self, capsys):
         assert run(["graph", "check", "0110"]) == 1
         assert capsys.readouterr().err == (
@@ -305,6 +313,19 @@ class TestMatrixCommands:
         )
         assert run(["matrix", "mcds", self.TRIANGLE, "1", "0"]) == 1
         assert capsys.readouterr().err == "error: indices are numbered from 1\n"
+
+    def test_mcds_names_out_of_range_indices_as_typed(self, capsys):
+        assert run(["matrix", "mcds", self.TRIANGLE, "5", "6"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: cannot swap on indices 5, 6: indices run from 1 to 4\n",
+        )
+        # a non-square matrix has no index range: its shape is the error
+        for p, q in (("1", "2"), ("5", "6")):
+            assert run(["matrix", "mcds", "011\n101\n", p, q]) == 1
+            assert capsys.readouterr().err == (
+                "error: mcds needs a square matrix, got (2, 3)\n"
+            )
 
 
 class TestConvertRealize:
@@ -465,6 +486,17 @@ class TestVerifyCommand:
     def test_unknown_suite_is_a_usage_error(self, capsys):
         assert run(["verify", "--suite", "nonsense"]) == 2
 
+    def test_max_n_with_all_suites_fails_at_once(self, capsys, monkeypatch):
+        def no_suite(*args):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setitem(verify._SUITES, "table", (no_suite, 10))
+        assert run(["verify", "--suite", "all", "--max-n", "2"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: --max-n applies to a single suite, not to all\n",
+        )
+
     def test_convergence_above_its_limit_fails_at_once(self, capsys, monkeypatch):
         def no_terms(*args):
             raise AssertionError("a term was computed")
@@ -565,11 +597,12 @@ PINNED_LINES = {
 
 
 # each command path, with the cdslab modules it loads beyond cli, errors and
-# formats
+# formats; the first row is a bare `import cdslab.cli`
 _GRAPH = "4 1 4\n2 3\n2 4\n3 4\n"
 _MATRIX = "0110\n1010\n1100\n0000\n"
 _PRECEDENCE = "0111\n0011\n0001\n0000\n"
 COMMAND_MODULES = [
+    (None, set()),
     *(
         (["perm", cmd, "[1,4,2,5,3]"], {"perms"})
         for cmd in ("sort", "check", "cycles", "pile")
@@ -585,11 +618,12 @@ COMMAND_MODULES = [
     (["convert", "adj2prec", "000\n000\n000\n"], {"convert", "f2", "perms"}),
     (["convert", "prec2adj", _PRECEDENCE], {"convert", "f2", "perms"}),
     (["count", "--n", "5"], {"counting"}),
-    (["count", "--n", "160", "--method", "rank_sum", "--json"], {"counting"}),
-    (["count", "--n", "160", "--eulerian", "--json"], {"counting"}),
+    (["count", "--n", "160", "--method", "rank_sum"], {"counting"}),
+    (["count", "--n", "160", "--eulerian"], {"counting"}),
+    (["count", "--n", "6", "--method", "brute_force"], {"counting", "oracle"}),
     (
-        ["count", "--n", "6", "--method", "brute_force", "--json"],
-        {"counting", "oracle"},
+        ["verify", "--suite", "table"],
+        {"convert", "counting", "f2", "graphs", "oracle", "perms", "verify"},
     ),
 ]
 
@@ -607,140 +641,56 @@ class TestUsage:
             assert run(base + extra) == 0
             assert capsys.readouterr().out.strip() == "113"
 
-    def test_import_loads_no_process_pool(self):
-        code = (
-            "import cdslab.cli, sys; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'multiprocessing' "
-            "or m.startswith('concurrent.futures')))"
-        )
-        assert fresh_interpreter(code) == "[]"
-
-    def test_commands_load_only_the_modules_they_use(self):
-        # each path starts from a fresh interpreter, so that no module another
-        # command loaded hides what this one loads
-        def loads(*commands):
-            code = f"""
-import contextlib, io, sys
-from cdslab.cli import run
-def loaded():
-    return [m for m in sorted(sys.modules) if m in {HEAVY_MODULES!r}]
-seen = [loaded()]
-with contextlib.redirect_stdout(io.StringIO()):
-    for argv in {list(commands)!r}:
-        run(argv)
-        seen.append(loaded())
-print(seen)
-"""
-            return fresh_interpreter(code)
-
-        assert loads(["perm", "sort", "[1,4,2,5,3]"]) == repr([[], ["cdslab.perms"]])
-        counts = ["cdslab.counting", "cdslab.oracle"]
-        assert loads(
-            ["count", "--n", "5"],
-            ["count", "--n", "160", "--method", "rank_sum"],
-            ["count", "--n", "5", "--method", "brute_force"],
-        ) == repr([[], counts[:1], counts[:1], counts])
-
     @pytest.mark.parametrize(
         "argv,modules",
         COMMAND_MODULES,
-        ids=["_".join(w for w in a[:2] if w[0] != "-") for a, _ in COMMAND_MODULES],
+        ids=[
+            "import" if a is None else "_".join(w for w in a[:2] if w[0] != "-")
+            for a, _ in COMMAND_MODULES
+        ],
     )
     def test_each_command_loads_its_own_modules(self, argv, modules):
-        # a fresh interpreter per row; every command also loads cdslab.cli,
-        # cdslab.errors and cdslab.formats, and none the slow standard modules
+        # a fresh interpreter per row runs the row's argv as text and then
+        # with --json (the None row only imports cli); every command also
+        # loads cdslab.cli, cdslab.errors and cdslab.formats, and none of
+        # the forbidden standard modules
+        forbidden = FORBIDDEN - RATIO_IMPORTS if "verify" in modules else FORBIDDEN
         code = f"""
 import contextlib, io, sys
 from cdslab.cli import run
+argv = {argv!r}
 with contextlib.redirect_stdout(io.StringIO()):
-    code = run({argv!r})
+    codes = [] if argv is None else [run(argv), run(argv + ["--json"])]
 base = {{"cdslab", "cdslab.cli", "cdslab.errors", "cdslab.formats"}}
 cdslab = [m for m in sys.modules if m.split(".")[0] == "cdslab"]
-slow = {SLOW_IMPORTS | COUNT_SLOW!r}
-print(code, sorted(set(cdslab) - base), sorted(m for m in sys.modules if m in slow))
+slow = {forbidden!r}
+print(codes, sorted(set(cdslab) - base), sorted(m for m in sys.modules if m in slow))
 """
         want = [f"cdslab.{m}" for m in sorted(modules)]
-        assert fresh_interpreter(code) == f"0 {want} []"
-
-    def test_commands_load_no_dataclasses_or_decimal(self):
-        code = f"""
-import contextlib, io, sys
-before = set(sys.modules)
-from cdslab.cli import run
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [
-        run(["perm", "sort", "[1,4,2,5,3]"]),
-        run(["perm", "check", "[2,1]"]),
-        run(["graph", "check", "4 1 4\\n2 3\\n2 4\\n3 4\\n"]),
-        run(["matrix", "mcds", "0110\\n1010\\n1100\\n0000\\n", "1", "2"]),
-        run(["realize", "011\\n101\\n110\\n"]),
-    ]
-    loaded = set(sys.modules) - before
-    codes += [
-        run(["count", "--n", "5"]),
-        run(["count", "--n", "160", "--method", "rank_sum"]),
-        run(["count", "--n", "5", "--method", "brute_force"]),
-    ]
-counted = set(sys.modules) - before - loaded
-print(codes, sorted(loaded & {SLOW_IMPORTS!r}), sorted(counted & {COUNT_SLOW!r}))
-"""
-        assert fresh_interpreter(code) == "[0, 0, 0, 0, 0, 0, 0, 0] [] []"
-
-    def test_commands_load_no_json(self):
-        code = f"""
-import contextlib, io, sys
-from cdslab.cli import run
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [
-        run(argv + extra)
-        for argv in {JSON_FREE_COMMANDS!r}
-        for extra in ([], ["--json"])
-    ]
-print(codes, "json" in sys.modules)
-"""
-        assert fresh_interpreter(code) == f"{[0] * 2 * len(JSON_FREE_COMMANDS)} False"
-
-    def test_verify_table_loads_no_dataclasses(self):
-        code = """
-import contextlib, io, sys
-from cdslab.cli import run
-with contextlib.redirect_stdout(io.StringIO()):
-    code = run(["verify", "--suite", "table"])
-print(code, sorted(m for m in sys.modules if m in ("dataclasses", "inspect")))
-"""
-        assert fresh_interpreter(code) == "0 []"
+        codes = [] if argv is None else [0, 0]
+        assert fresh_interpreter(code) == f"{codes} {want} []"
 
     def test_parser_tables_match_their_modules(self):
         assert tuple(name for name, _ in cli._SUITES) == verify.SUITE_NAMES
         assert cli._COUNT_METHODS == counting.COUNT_METHODS
 
 
-# the command paths of test_commands_load_no_dataclasses_or_decimal
-JSON_FREE_COMMANDS = [
-    ["perm", "sort", "[1,4,2,5,3]"],
-    ["perm", "check", "[2,1]"],
-    ["graph", "check", "4 1 4\n2 3\n2 4\n3 4\n"],
-    ["matrix", "mcds", "0110\n1010\n1100\n0000\n", "1", "2"],
-    ["realize", "011\n101\n110\n"],
-    ["count", "--n", "5"],
-    ["count", "--n", "160", "--method", "rank_sum"],
-    ["count", "--n", "5", "--method", "brute_force"],
-]
-# the modules a fresh `import cdslab.cli` must not load
-HEAVY_MODULES = (
-    "cdslab.convert",
-    "cdslab.counting",
-    "cdslab.f2",
-    "cdslab.graphs",
-    "cdslab.oracle",
-    "cdslab.perms",
-    "cdslab.verify",
-)
-# standard modules the command path leaves alone: dataclasses pulls in
-# inspect, ast, dis and tokenize, and fractions pulls in decimal
-SLOW_IMPORTS = {"dataclasses", "inspect", "decimal", "fractions"}
-# count writes its ratio from ints, so it loads none of these either
-COUNT_SLOW = {"dataclasses", "inspect", "fractions", "decimal", "numbers"}
+# standard modules no command path loads: dataclasses pulls in inspect, ast,
+# dis and tokenize, and fractions pulls in decimal and numbers (count writes
+# its ratio from ints); JSON is written without the json package, and no
+# command starts a process pool
+FORBIDDEN = {
+    "dataclasses",
+    "inspect",
+    "fractions",
+    "decimal",
+    "numbers",
+    "json",
+    "multiprocessing",
+    "concurrent.futures",
+}
+# but verify's table suite checks ratio digits, which need fractions
+RATIO_IMPORTS = {"fractions", "decimal", "numbers"}
 
 
 def fresh_interpreter(code: str) -> str:
@@ -771,6 +721,23 @@ class TestPackage:
         assert {n: star[n] for n in cdslab.__all__} == {
             n: getattr(cdslab, n) for n in cdslab.__all__
         }
+
+    def test_benchmark_traced_names_resolve(self):
+        # the benchmark wraps these by name; a refactor that drops one fails
+        # here rather than in a traced benchmark run
+        path = os.path.join(
+            os.path.dirname(os.path.dirname(__file__)), "perfbench", "tracing.py"
+        )
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for module, names in tracing.TRACED.items():
+            home = importlib.import_module(f"cdslab.{module}")
+            for name in names:
+                value = home
+                for part in name.split("."):
+                    value = getattr(value, part, None)
+                assert callable(value), f"{module}.{name}"
 
     def test_unknown_names_raise_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'nonsense'"):

@@ -10,7 +10,6 @@ from cdslab.errors import ContractError, InvalidMoveError
 from cdslab.perms import (
     Permutation,
     alternating_cycle_vectors,
-    alternating_cycles,
     apply_cds,
     cds_contexts,
     cycle_notation,
@@ -132,12 +131,10 @@ class TestCycles:
 class TestStrategicPile:
     def test_example(self):
         pile = strategic_pile(EXAMPLE)
+        assert isinstance(pile, tuple)
         assert pile == (4, 2)
         assert list(pile) == [4, 2]
-        assert pile.ordered == (4, 2)
-        assert pile.members == {2, 4}
         assert pile
-        assert not pile.is_empty
         assert len(pile) == 2
 
     def test_matches_the_run_after_n_in_its_cycle(self):
@@ -153,15 +150,14 @@ class TestStrategicPile:
                     after = cyc[at + 1 :] + cyc[:at]
                     want = after[: after.index(0)]
                 pile = strategic_pile(p)
-                assert pile == want and pile.ordered == want
+                assert pile == want
                 assert len(pile) == len(want)
-                assert bool(pile) == bool(want) == (not pile.is_empty)
-                assert pile.members == frozenset(want)
+                assert bool(pile) == bool(want)
 
     def test_empty_iff_sortable(self):
         for tup in permutations(range(1, 6)):
             p = Permutation(tup)
-            assert strategic_pile(p).is_empty == is_cds_sortable(p)
+            assert (not strategic_pile(p)) == is_cds_sortable(p)
 
     def test_known_values(self):
         assert is_cds_sortable(Permutation.identity(5))
@@ -272,7 +268,7 @@ class TestDerivedGraphs:
         )
 
     def test_alternating_cycles(self):
-        assert alternating_cycles(EXAMPLE) == ((0, 2, 4, 5), (1, 3))
+        # the cycles {0, 2, 4, 5} and {1, 3}, listed by smallest member
         vectors = alternating_cycle_vectors(EXAMPLE)
         adj = overlap_graph(EXAMPLE).adjacency
         assert vectors == [0b110101, 0b001010]
@@ -282,6 +278,18 @@ class TestDerivedGraphs:
             for v in vectors:
                 if u != v:
                     assert (u & v).bit_count() % 2 == 0
+        # on every small permutation: the cycles of the composed map, so
+        # disjoint and covering the n+1 pointers, listed by smallest member
+        for n in range(1, 7):
+            for tup in permutations(range(1, n + 1)):
+                p = Permutation(tup)
+                vectors = alternating_cycle_vectors(p)
+                want = sorted(
+                    (sum(1 << v for v in c) for c in cycle_notation(p).cycles),
+                    key=lambda mask: mask & -mask,
+                )
+                assert vectors == want
+                assert sum(vectors) == (1 << (n + 1)) - 1
 
     def test_precedence_matrix(self):
         prec = precedence_matrix(Permutation([1, 3, 2]))
