@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from cdslab.counting import convergence_report
+from cdslab.convergence import convergence_report
 from cdslab.errors import CdsLabError
 
 

@@ -8,18 +8,21 @@ The swap operation acts on three equivalent representations:
 
 :mod:`cdslab.convert` moves between adjacency and precedence forms and
 realizes abstract move graphs as permutations, :mod:`cdslab.counting`
-counts and bounds the sortable population, :mod:`cdslab.oracle` holds
-definitions-only brute-force re-implementations, and :mod:`cdslab.verify`
-cross-checks the two against each other.
+counts the sortable population and :mod:`cdslab.convergence` certifies its
+limiting density, :mod:`cdslab.oracle` (the census) and
+:mod:`cdslab.oracle_search` (searches and scans) hold definitions-only
+brute-force re-implementations, and :mod:`cdslab.verify` cross-checks the
+two sides against each other.
 
 Importing the package loads none of these modules. Each submodule, and
 each name in ``__all__``, is imported on first access (PEP 562), so a
 ``cdslab`` command pays only for the modules it uses: the ``perm`` commands
 load ``perms`` alone of the three views, and ``count`` loads ``counting``
-(with ``oracle`` for its brute-force method) but none of ``f2``, ``graphs``
-and ``perms``, and no ``fractions``. No module uses dataclasses, and JSON
-output is written without the ``json`` package.
-``from cdslab import X`` and ``from cdslab import *`` work as before.
+(with the census in ``oracle`` for its brute-force method) but none of
+``f2``, ``graphs``, ``perms``, ``oracle_search`` and ``convergence``, and no
+``fractions``. No module uses dataclasses, and JSON output is written
+without the ``json`` package. ``from cdslab import X`` and
+``from cdslab import *`` work as before.
 """
 
 from __future__ import annotations
@@ -28,13 +31,8 @@ import importlib
 
 # The names in __all__ that are not modules, by the module that defines them.
 _EXPORTS = {
-    "counting": (
-        "ConvergenceReport",
-        "CountReport",
-        "convergence_report",
-        "count_sortable",
-        "count_sortable_rank_sum",
-    ),
+    "convergence": ("ConvergenceReport", "convergence_report"),
+    "counting": ("CountReport", "count_sortable", "count_sortable_rank_sum"),
     "convert": (
         "adjacency_to_precedence",
         "precedence_to_adjacency",
@@ -62,7 +60,7 @@ _EXPORTS = {
     "verify": ("run_suite",),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
-_MODULES = frozenset(_EXPORTS) | {"formats", "oracle"}
+_MODULES = frozenset(_EXPORTS) | {"formats", "oracle", "oracle_search"}
 
 __version__ = "0.1.0"
 

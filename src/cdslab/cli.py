@@ -5,23 +5,27 @@ as an UNSORTABLE verdict from ``perm check``), 1 on domain failures
 (invalid moves, unrealizable inputs, failed verification, malformed data),
 2 on usage errors. ``--json`` swaps the text output for one stable JSON
 object per invocation.
+
+This module holds the parser and the count, table and verify commands. The
+perm commands are in ``cli_perm`` and the graph, matrix, convert and realize
+commands in ``cli_gf2``; the parser names each handler by module and
+function, and ``run`` imports the module when it dispatches, so a process
+compiles only the handlers of its own command.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
-from typing import TYPE_CHECKING
 
-# convert, counting, f2, graphs, oracle, perms and verify are imported by the
-# commands that use them, so a fresh process loads only what its subcommand
-# needs: perm loads perms alone, and count none of the three views.
+# counting, oracle and verify are imported by the commands that use them, and
+# the view modules by the handlers in cli_perm and cli_gf2, so a fresh
+# process loads only what its subcommand needs: count loads none of the
+# three views.
 from . import formats
-from .errors import CdsLabError, ContractError, InvalidMoveError, SizeLimitError
-
-if TYPE_CHECKING:
-    from . import f2, graphs
+from .errors import CdsLabError, ContractError, SizeLimitError
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -65,305 +69,8 @@ def _emit(args: argparse.Namespace, text: str, payload: dict[str, object]) -> No
         print(text.rstrip("\n"))
 
 
-def _pile_text(pile: tuple[int, ...]) -> str:
-    return "(" + ",".join(map(str, pile)) + ")"
-
-
-def _matrix_lines(m: f2.F2Matrix) -> list[str]:
-    return formats.format_matrix(m).splitlines()
-
-
 # ---------------------------------------------------------------------------
-# permutation commands
-
-
-def _cmd_perm_check(args: argparse.Namespace) -> int:
-    from . import perms
-
-    pi = formats.parse_permutation(_read_text(args.data))
-    pile = perms.strategic_pile(pi)
-    text = f"UNSORTABLE SP={_pile_text(pile)}" if pile else "SORTABLE"
-    _emit(
-        args,
-        text,
-        {
-            "command": "perm.check",
-            "permutation": list(pi.elements),
-            "sortable": not pile,
-            "strategic_pile": list(pile),
-        },
-    )
-    return 0
-
-
-def _cmd_perm_sort(args: argparse.Namespace) -> int:
-    from . import perms
-
-    pi = formats.parse_permutation(_read_text(args.data))
-    moves = perms.sort_moves(pi)
-    if moves is None:
-        pile = perms.strategic_pile(pi)
-        _emit(
-            args,
-            f"UNSORTABLE SP={_pile_text(pile)}",
-            {
-                "command": "perm.sort",
-                "permutation": list(pi.elements),
-                "sortable": False,
-                "strategic_pile": list(pile),
-                "moves": None,
-            },
-        )
-        return 1
-    trace = [pi]
-    for p, q in moves:
-        trace.append(perms.apply_cds(trace[-1], p, q))
-    lines = [formats.format_permutation(pi)]
-    for (p, q), after in zip(moves, trace[1:]):
-        lines.append(f"swap {p} {q} -> {formats.format_permutation(after)}")
-    lines.append(f"SORTED in {len(moves)} moves")
-    _emit(
-        args,
-        "\n".join(lines),
-        {
-            "command": "perm.sort",
-            "permutation": list(pi.elements),
-            "sortable": True,
-            "moves": [list(mv) for mv in moves],
-            "trace": [list(t.elements) for t in trace],
-        },
-    )
-    return 0
-
-
-def _cmd_perm_cycles(args: argparse.Namespace) -> int:
-    from . import perms
-
-    pi = formats.parse_permutation(_read_text(args.data))
-    note = perms.cycle_notation(pi)
-    text = "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in note.cycles)
-    _emit(
-        args,
-        text,
-        {
-            "command": "perm.cycles",
-            "permutation": list(pi.elements),
-            "mapping": list(note.mapping),
-            "cycles": [list(cyc) for cyc in note.cycles],
-        },
-    )
-    return 0
-
-
-def _cmd_perm_pile(args: argparse.Namespace) -> int:
-    from . import perms
-
-    pi = formats.parse_permutation(_read_text(args.data))
-    pile = perms.strategic_pile(pi)
-    _emit(
-        args,
-        f"SP={_pile_text(pile)}",
-        {
-            "command": "perm.pile",
-            "permutation": list(pi.elements),
-            "strategic_pile": list(pile),
-            "empty": not pile,
-        },
-    )
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# graph commands
-
-
-def _graph_payload(command: str, g: graphs.RootedGraph) -> dict[str, object]:
-    return {
-        "command": command,
-        "n": g.n,
-        "roots": [1, g.n],
-        "edges": [[u + 1, v + 1] for u, v in g.edges()],
-    }
-
-
-def _cmd_graph_check(args: argparse.Namespace) -> int:
-    from . import f2, graphs
-
-    g = formats.parse_graph(_read_text(args.data))
-    sortable = graphs.is_gcds_sortable(g)
-    dist = f2.mcds_distance(g.adjacency)
-    text = f"{'SORTABLE' if sortable else 'UNSORTABLE'} distance={dist}"
-    _emit(
-        args,
-        text,
-        {
-            "command": "graph.check",
-            "n": g.n,
-            "roots": [1, g.n],
-            "sortable": sortable,
-            "distance": dist,
-            "eulerian": graphs.is_eulerian(g),
-        },
-    )
-    return 0
-
-
-def _swap(args: argparse.Namespace, swap, target, size: int, nouns: str):
-    """swap(target, p, q) at the 1-based p, q of the command line, both
-    checked against the target's size before the 0-based swap sees them."""
-    if args.p < 1 or args.q < 1:
-        raise InvalidMoveError(f"{nouns} are numbered from 1")
-    if args.p > size or args.q > size:
-        raise InvalidMoveError(
-            f"cannot swap on {nouns} {args.p}, {args.q}: "
-            f"{nouns} run from 1 to {size}"
-        )
-    try:
-        return swap(target, args.p - 1, args.q - 1)
-    except InvalidMoveError as exc:
-        raise InvalidMoveError(
-            f"cannot swap on {nouns} {args.p}, {args.q}: {exc}"
-        ) from exc
-
-
-def _cmd_graph_gcds(args: argparse.Namespace) -> int:
-    from . import graphs
-
-    g = formats.parse_graph(_read_text(args.data))
-    moved = _swap(args, graphs.gcds, g, g.n, "vertices")
-    _emit(args, formats.format_graph(moved), _graph_payload("graph.gcds", moved))
-    return 0
-
-
-def _cmd_graph_cuts(args: argparse.Namespace) -> int:
-    from . import graphs
-
-    g = formats.parse_graph(_read_text(args.data))
-    cuts = graphs.generalized_parity_cuts(g)
-    lines = [f"{len(cuts)} cuts"]
-    listed = []
-    for cut in cuts:
-        verts = [v + 1 for v in range(g.n) if (cut >> v) & 1]
-        listed.append(verts)
-        lines.append("{" + ",".join(map(str, verts)) + "}")
-    _emit(
-        args,
-        "\n".join(lines),
-        {"command": "graph.cuts", "n": g.n, "count": len(cuts), "cuts": listed},
-    )
-    return 0
-
-
-def _cmd_graph_props(args: argparse.Namespace) -> int:
-    from . import graphs
-
-    g = formats.parse_graph(_read_text(args.data))
-    flags = {
-        "eulerian": graphs.is_eulerian(g),
-        "a": graphs.has_property(g, "a"),
-        "b": graphs.has_property(g, "b"),
-        "c": graphs.has_property(g, "c"),
-    }
-    text = " ".join(f"{k}={'yes' if v else 'no'}" for k, v in flags.items())
-    _emit(args, text, {"command": "graph.props", "n": g.n, **flags})
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# matrix commands
-
-
-def _cmd_matrix_mcds(args: argparse.Namespace) -> int:
-    from . import f2
-
-    m = formats.parse_matrix(_read_text(args.data))
-    # the shape comes first: the indices of a non-square matrix have no range
-    if not m.is_square:
-        raise ContractError(f"mcds needs a square matrix, got {m.shape}")
-    moved = _swap(args, f2.mcds, m, m.nrows, "indices")
-    _emit(
-        args,
-        formats.format_matrix(moved),
-        {"command": "matrix.mcds", "rows": _matrix_lines(moved)},
-    )
-    return 0
-
-
-def _cmd_matrix_rank(args: argparse.Namespace) -> int:
-    from . import f2
-
-    m = formats.parse_matrix(_read_text(args.data))
-    r = f2.rank(m)
-    _emit(
-        args,
-        str(r),
-        {"command": "matrix.rank", "shape": [m.nrows, m.ncols], "rank": r},
-    )
-    return 0
-
-
-def _cmd_matrix_kernel(args: argparse.Namespace) -> int:
-    from . import f2
-
-    m = formats.parse_matrix(_read_text(args.data))
-    basis = f2.kernel_basis(m)
-    # as format_matrix writes a row: column 0 first
-    top = 1 << m.ncols
-    strings = [bin(v | top)[:2:-1] for v in basis]
-    lines = [f"dimension {len(basis)}"] + strings
-    _emit(
-        args,
-        "\n".join(lines),
-        {"command": "matrix.kernel", "dimension": len(basis), "basis": strings},
-    )
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# conversion, realization, counting
-
-
-def _cmd_convert(args: argparse.Namespace) -> int:
-    from . import convert
-
-    m = formats.parse_matrix(_read_text(args.data))
-    if args.convert_command == "adj2prec":
-        out = convert.adjacency_to_precedence(m)
-    else:
-        out = convert.precedence_to_adjacency(m)
-    _emit(
-        args,
-        formats.format_matrix(out),
-        {
-            "command": f"convert.{args.convert_command}",
-            "rows": _matrix_lines(out),
-        },
-    )
-    return 0
-
-
-def _cmd_realize(args: argparse.Namespace) -> int:
-    from . import convert
-
-    m = formats.parse_matrix(_read_text(args.data))
-    witness = convert.realize_move_graph(m)
-    if witness is None:
-        _emit(
-            args,
-            "UNREALIZABLE",
-            {"command": "realize", "realizable": False, "witness": None},
-        )
-        return 1
-    _emit(
-        args,
-        formats.format_permutation(witness),
-        {
-            "command": "realize",
-            "realizable": True,
-            "witness": list(witness.elements),
-        },
-    )
-    return 0
+# counting and verification
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -478,21 +185,35 @@ _GROUPS = {
     "matrix": "GF(2) matrix queries",
     "convert": "adjacency/precedence conversions",
 }
-# (group, command, handler, help), in help order
+# (group, command, handler module, handler, help), in help order; run imports
+# the handler's module when it dispatches
 _COMMANDS = (
-    ("perm", "sort", _cmd_perm_sort, "emit a full sorting move sequence"),
-    ("perm", "check", _cmd_perm_check, "sortability verdict with the pile"),
-    ("perm", "cycles", _cmd_perm_cycles, "cycle form of the composed map"),
-    ("perm", "pile", _cmd_perm_pile, "the strategic pile"),
-    ("graph", "check", _cmd_graph_check, "sortability verdict and distance"),
-    ("graph", "gcds", _cmd_graph_gcds, "apply one swap on vertices p, q"),
-    ("graph", "cuts", _cmd_graph_cuts, "list every generalized parity cut"),
-    ("graph", "props", _cmd_graph_props, "root-placement properties a, b, c"),
-    ("matrix", "mcds", _cmd_matrix_mcds, "apply one swap at indices p, q"),
-    ("matrix", "rank", _cmd_matrix_rank, "rank over GF(2)"),
-    ("matrix", "kernel", _cmd_matrix_kernel, "kernel basis vectors"),
-    ("convert", "adj2prec", _cmd_convert, "overlap adjacency to precedence matrix"),
-    ("convert", "prec2adj", _cmd_convert, "precedence matrix to overlap adjacency"),
+    ("perm", "sort", "cli_perm", "_cmd_perm_sort",
+     "emit a full sorting move sequence"),
+    ("perm", "check", "cli_perm", "_cmd_perm_check",
+     "sortability verdict with the pile"),
+    ("perm", "cycles", "cli_perm", "_cmd_perm_cycles",
+     "cycle form of the composed map"),
+    ("perm", "pile", "cli_perm", "_cmd_perm_pile",
+     "the strategic pile"),
+    ("graph", "check", "cli_gf2", "_cmd_graph_check",
+     "sortability verdict and distance"),
+    ("graph", "gcds", "cli_gf2", "_cmd_graph_gcds",
+     "apply one swap on vertices p, q"),
+    ("graph", "cuts", "cli_gf2", "_cmd_graph_cuts",
+     "list every generalized parity cut"),
+    ("graph", "props", "cli_gf2", "_cmd_graph_props",
+     "root-placement properties a, b, c"),
+    ("matrix", "mcds", "cli_gf2", "_cmd_matrix_mcds",
+     "apply one swap at indices p, q"),
+    ("matrix", "rank", "cli_gf2", "_cmd_matrix_rank",
+     "rank over GF(2)"),
+    ("matrix", "kernel", "cli_gf2", "_cmd_matrix_kernel",
+     "kernel basis vectors"),
+    ("convert", "adj2prec", "cli_gf2", "_cmd_convert",
+     "overlap adjacency to precedence matrix"),
+    ("convert", "prec2adj", "cli_gf2", "_cmd_convert",
+     "precedence matrix to overlap adjacency"),
 )
 # the commands that take two 1-based indices p and q, with the indices' noun
 _INDEX_NOUNS = {"gcds": "vertex", "mcds": "index"}
@@ -521,14 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
         )
         for group, help_text in _GROUPS.items()
     }
-    for group, name, fn, help_text in _COMMANDS:
+    for group, name, module, fn, help_text in _COMMANDS:
         p = groups[group].add_parser(name, parents=[common], help=help_text)
         p.add_argument("data", nargs="?", help=_DATA_HELP)
         noun = _INDEX_NOUNS.get(name)
         if noun:
             p.add_argument("p", type=int, help=f"first {noun} (1-based)")
             p.add_argument("q", type=int, help=f"second {noun} (1-based)")
-        p.set_defaults(func=fn)
+        p.set_defaults(handler=(module, fn))
 
     realize = sub.add_parser(
         "realize",
@@ -536,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="find a permutation whose move graph is the given matrix",
     )
     realize.add_argument("data", nargs="?", help=_DATA_HELP)
-    realize.set_defaults(func=_cmd_realize)
+    realize.set_defaults(handler=("cli_gf2", "_cmd_realize"))
 
     count = sub.add_parser(
         "count", parents=[common], help="number of sortable two-rooted graphs"
@@ -553,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="closed_formula",
         help="counting method (default: closed_formula)",
     )
-    count.set_defaults(func=_cmd_count)
+    count.set_defaults(handler=("cli", "_cmd_count"))
 
     table = sub.add_parser(
         "table", parents=[common], help="count table for n = 3..max-n"
@@ -566,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="add an exhaustive-census column (needs max-n <= 7)",
     )
-    table.set_defaults(func=_cmd_table)
+    table.set_defaults(handler=("cli", "_cmd_table"))
 
     verify_parser = sub.add_parser(
         "verify",
@@ -589,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the suite's default size bound",
     )
-    verify_parser.set_defaults(func=_cmd_verify)
+    verify_parser.set_defaults(handler=("cli", "_cmd_verify"))
     return parser
 
 
@@ -600,12 +321,24 @@ def run(argv: "list[str] | None" = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    module, name = args.handler
+    handler = getattr(importlib.import_module(f"{__package__}.{module}"), name)
     try:
-        return args.func(args)
+        return handler(args)
     except CdsLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        # flush here, so that a reader that closed the pipe is seen now
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at devnull
+        # so that flush does not fail too, and exit 1 as Python does on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

@@ -2,13 +2,13 @@
 
 Matrix: one row per line of '0'/'1' characters with no separators; a blank
 line or end of input terminates. Permutation: integers separated by
-whitespace or commas, with optional surrounding brackets. Graph: either a
-header line "n root1 root2" followed by one "u v" edge per line, all
-1-based, or an adjacency matrix in the matrix format with the roots
-implicitly first and last. Ratio: a density in [0, 1] rounded to three
-decimal places, as the count table prints it. Integers: exact decimal digits
-at any size, in text and in JSON, so counts print in full up to the count
-limit.
+whitespace or commas, with optional surrounding brackets; an empty entry
+beside a comma is refused. Graph: either a header line "n root1 root2"
+followed by one "u v" edge per line, all 1-based, or an adjacency matrix in
+the matrix format with the roots implicitly first and last. Ratio: a
+density in [0, 1] rounded to three decimal places, as the count table
+prints it. Integers: exact decimal digits at any size, in text and in JSON,
+so counts print in full up to the count limit.
 """
 from __future__ import annotations
 
@@ -100,7 +100,10 @@ def format_matrix(m: F2Matrix) -> str:
 
 
 def parse_permutation(text: str) -> Permutation:
-    """Parse integers separated by whitespace or commas, brackets optional."""
+    """Parse integers separated by whitespace or commas, brackets optional.
+
+    A comma needs an entry on each side: "[1,2,]" and "1,,2" are refused.
+    """
     from .perms import Permutation
 
     s = text.strip()
@@ -108,6 +111,9 @@ def parse_permutation(text: str) -> Permutation:
         if s[0] + s[-1] not in ("[]", "()"):
             raise ContractError(f"mismatched brackets around permutation {s!r}")
         s = s[1:-1]
+    entries = s.split(",")
+    if len(entries) > 1 and not all(e.strip() for e in entries):
+        raise ContractError(f"empty entry in permutation {text.strip()!r}")
     tokens = s.replace(",", " ").split()
     if not tokens:
         raise ContractError("empty permutation input")

@@ -13,7 +13,8 @@ import random
 import time
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from . import convert, counting, f2, formats, graphs, oracle, perms
+from . import convergence, convert, counting, f2, formats, graphs, oracle, perms
+from . import oracle_search
 from .errors import ContractError, InvalidMoveError
 
 __all__ = [
@@ -297,7 +298,7 @@ def _suite_eulerian(max_n: int) -> list[CheckLine]:
 
 def _suite_sortability(max_n: int) -> list[CheckLine]:
     out = []
-    for n in range(1, min(max_n, oracle.SEARCH_LIMIT) + 1):
+    for n in range(1, min(max_n, oracle_search.SEARCH_LIMIT) + 1):
         sortable = 0
         bad = 0
         total = 0
@@ -305,9 +306,9 @@ def _suite_sortability(max_n: int) -> list[CheckLine]:
             og = perms.overlap_graph(pi)
             flags = {
                 perms.is_cds_sortable(pi),
-                oracle.cds_sortable_bruteforce(pi),
+                oracle_search.cds_sortable_bruteforce(pi),
                 graphs.is_gcds_sortable(og),
-                oracle.gcds_sortable_bruteforce(og),
+                oracle_search.gcds_sortable_bruteforce(og),
             }
             total += 1
             if len(flags) == 1:
@@ -336,7 +337,7 @@ def _suite_commuting(max_n: int) -> list[CheckLine]:
             swaps = {}
             for p in range(1, n):
                 for q in range(p + 1, n):
-                    child = oracle.cds_move(pi.elements, p, q)
+                    child = oracle_search.cds_move(pi.elements, p, q)
                     if child is not None:
                         swaps[p, q] = child
             if ctx != swaps.keys():
@@ -349,7 +350,7 @@ def _suite_commuting(max_n: int) -> list[CheckLine]:
                 moved = graphs.gcds(og, p, q)
                 if perms.overlap_graph(sigma).adjacency != moved.adjacency:
                     bad += 1
-                rule = oracle.gcds_move(og.adjacency.rows, p, q)
+                rule = oracle_search.gcds_move(og.adjacency.rows, p, q)
                 if rule != moved.adjacency.rows:
                     bad += 1
                 moves += 1
@@ -377,11 +378,11 @@ def _suite_commuting(max_n: int) -> list[CheckLine]:
     for n in range(2, min(max_n, 6) + 1):
         moves = 0
         bad = 0
-        for rows in oracle.graph_rows(n):
+        for rows in oracle_search.graph_rows(n):
             g = _graph(rows)
             for p, q in graphs.context_pairs(g):
                 moved = graphs.gcds(g, p, q).adjacency.rows
-                if moved != oracle.gcds_move(rows, p, q):
+                if moved != oracle_search.gcds_move(rows, p, q):
                     bad += 1
                 moves += 1
         out.append(
@@ -398,17 +399,17 @@ def _suite_distance(max_n: int) -> list[CheckLine]:
     sequences, depths = [], []
     for n in range(2, min(max_n, 6) + 1):
         count = bad = depth_bad = sortable_count = 0
-        for rows in oracle.graph_rows(n):
+        for rows in oracle_search.graph_rows(n):
             g = _graph(rows)
             dist = f2.mcds_distance(g.adjacency)
             sortable = graphs.is_gcds_sortable(g)
-            profile = oracle.gcds_fixed_point_profile(g)
+            profile = oracle_search.gcds_fixed_point_profile(g)
             lengths = {length for length, _ in profile}
             ends = {edgeless for _, edgeless in profile}
             if lengths != {dist} or ends != {sortable}:
                 bad += 1
             if n <= 5:
-                depth = oracle.gcds_sortable_search(g).max_depth
+                depth = oracle_search.gcds_sortable_search(g).max_depth
                 depth_bad += depth > dist or depth > n // 2
             sortable_count += sortable
             count += 1
@@ -467,15 +468,15 @@ def _suite_conversion(max_n: int) -> list[CheckLine]:
 
 def _suite_realize(max_n: int) -> list[CheckLine]:
     out = []
-    top = min(max_n, oracle.REALIZE_LIMIT - 1)
+    top = min(max_n, oracle_search.REALIZE_LIMIT - 1)
     for k in range(1, top + 1):
         realizable = 0
         total = 0
         bad = 0
-        for rows in oracle.graph_rows(k):
+        for rows in oracle_search.graph_rows(k):
             m = f2.F2Matrix.from_row_bits(rows, k)
             got = convert.realize_move_graph(m)
-            ref = oracle.realizable_bruteforce(m)
+            ref = oracle_search.realizable_bruteforce(m)
             if (got is None) != (ref is None):
                 bad += 1
             elif got is not None:
@@ -490,7 +491,7 @@ def _suite_realize(max_n: int) -> list[CheckLine]:
                 f"{realizable}/{total} realizable, witnesses verified",
             )
         )
-    length = min(max_n + 1, oracle.REALIZE_LIMIT)
+    length = min(max_n + 1, oracle_search.REALIZE_LIMIT)
     bad = 0
     count = 0
     for pi in _all_perms(length):
@@ -517,18 +518,18 @@ def _suite_kernel(max_n: int) -> list[CheckLine]:
         # one pass: every graph with its kernel (= generalized cut) masks
         table: dict[tuple[int, ...], tuple[graphs.RootedGraph, set[int]]] = {}
         scan_bad = space_bad = root_bad = count = 0
-        for rows in oracle.graph_rows(n):
+        for rows in oracle_search.graph_rows(n):
             g = _graph(rows)
             cuts = set(graphs.generalized_parity_cuts(g))
             table[rows] = (g, cuts)
             if n <= 5:
-                scanned = oracle.parity_cuts_bruteforce(g, "generalized")
+                scanned = oracle_search.parity_cuts_bruteforce(g, "generalized")
                 scan_bad += cuts != _cut_masks(scanned)
             if not graphs.is_eulerian(g):
                 continue
             # on even-degree graphs the root-even two-sided cuts are the
             # kernel, and exactly one root placement is feasible
-            scanned = oracle.parity_cuts_bruteforce(g, "two_sided_root_even")
+            scanned = oracle_search.parity_cuts_bruteforce(g, "two_sided_root_even")
             space_bad += cuts != _cut_masks(scanned)
             a = graphs.has_property(g, "a")
             c = graphs.has_property(g, "c")
@@ -655,12 +656,12 @@ def _suite_kernel(max_n: int) -> list[CheckLine]:
 
 def _suite_macwilliams(max_n: int) -> list[CheckLine]:
     out = []
-    for t in range(0, min(max_n, oracle.N0_LIMIT) + 1):
+    for t in range(0, min(max_n, oracle_search.N0_LIMIT) + 1):
         bad = 0
         total = 0
         for r in range(0, t + 1):
             counted = counting.macwilliams_count(t, r)
-            if counted != oracle.n0_bruteforce(t, r):
+            if counted != oracle_search.n0_bruteforce(t, r):
                 bad += 1
             if r % 2 and counted:
                 bad += 1
@@ -699,7 +700,7 @@ def _suite_blocks(max_n: int) -> list[CheckLine]:
 
     form_bad = offset_bad = 0
     for t in range(0, 4):
-        for rows in oracle.graph_rows(t):
+        for rows in oracle_search.graph_rows(t):
             a = f2.F2Matrix.from_row_bits(rows, t)
             kernel = _span_masks(f2.kernel_basis(a))
             images = []
@@ -733,7 +734,7 @@ def _suite_blocks(max_n: int) -> list[CheckLine]:
         bad = count = 0
         sortable: dict[tuple[int, ...], int] = {}
         even: dict[tuple[int, ...], int] = {}
-        for rows in oracle.graph_rows(n):
+        for rows in oracle_search.graph_rows(n):
             adj = f2.F2Matrix.from_row_bits(rows, n)
             if not f2.is_mcds_sortable(adj):
                 continue
@@ -762,7 +763,7 @@ def _suite_blocks(max_n: int) -> list[CheckLine]:
         )
         t = n - 2
         bad = 0
-        for rows in oracle.graph_rows(t):
+        for rows in oracle_search.graph_rows(t):
             center = f2.F2Matrix.from_row_bits(rows, t)
             want = counting.sortable_extensions_count(center)
             want_eul = counting.sortable_extensions_count(center, eulerian=True)
@@ -812,7 +813,7 @@ def _suite_blocks(max_n: int) -> list[CheckLine]:
 
 
 def _suite_convergence(max_n: int) -> list[CheckLine]:
-    rep = counting.convergence_report(max(10, max_n))
+    rep = convergence.convergence_report(max(10, max_n))
     details = {
         "x100_above_one_fifth": f"x_100 = {float(rep.x100):.12f}",
         "limit_positive_margin": f"limit >= {float(rep.limit_lower):.12f}",
@@ -876,7 +877,7 @@ def _suite_random(max_n: int) -> list[CheckLine]:
         return sorted(sigma.elements) == list(range(1, pi.n + 1))
 
     def matches_oracle(pi: perms.Permutation, p: int, q: int) -> bool:
-        return oracle.cds_move(pi, p, q) == perms.apply_cds(pi, p, q).elements
+        return oracle_search.cds_move(pi, p, q) == perms.apply_cds(pi, p, q).elements
 
     def graph_move() -> tuple[graphs.RootedGraph, int, int] | None:
         n = rng.randint(3, top)

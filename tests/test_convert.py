@@ -9,7 +9,7 @@ from itertools import permutations
 
 import pytest
 
-from cdslab import convert, f2, formats, oracle, perms
+from cdslab import convert, f2, formats, oracle_search, perms
 from cdslab.errors import ContractError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -219,7 +219,7 @@ def seeded_move_graphs(n: int, count: int, seed: str):
 class TestRealize:
     def test_matches_the_reference_on_every_small_matrix(self):
         for k in range(1, 6):
-            for rows in oracle.graph_rows(k):
+            for rows in oracle_search.graph_rows(k):
                 m = f2.F2Matrix.from_row_bits(rows, k)
                 assert convert.realize_move_graph(m) == _reference_realize(m)
 

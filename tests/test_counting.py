@@ -8,19 +8,17 @@ from itertools import combinations
 
 import pytest
 
-from cdslab import counting, f2, oracle
+from cdslab import counting, f2, oracle_search
+from cdslab.convergence import CONVERGENCE_LIMIT, convergence_report, sqrt2_bounds
 from cdslab.counting import (
-    CONVERGENCE_LIMIT,
     COUNT_LIMIT,
     CountReport,
     _closed_formula_terms,
     block_construct,
-    convergence_report,
     count_sortable,
     count_sortable_rank_sum,
     macwilliams_count,
     sortable_extensions_count,
-    sqrt2_bounds,
 )
 from cdslab.errors import ContractError, SizeLimitError
 from test_formats_cli import fresh_interpreter
@@ -248,7 +246,7 @@ class TestMacWilliams:
     def test_matches_enumeration(self):
         for t in range(0, 5):
             for r in range(0, t + 1):
-                assert macwilliams_count(t, r) == oracle.n0_bruteforce(t, r)
+                assert macwilliams_count(t, r) == oracle_search.n0_bruteforce(t, r)
 
     def test_matches_the_fraction_product(self):
         for t in range(0, 31):
@@ -271,7 +269,7 @@ class TestMacWilliams:
         with pytest.raises(ContractError):
             macwilliams_count(3, 4)
         with pytest.raises(SizeLimitError):
-            oracle.n0_bruteforce(6, 2)
+            oracle_search.n0_bruteforce(6, 2)
 
     def test_large_sizes_rejected(self, monkeypatch):
         def no_counts(*args):

@@ -60,6 +60,11 @@ class TestFormats:
             formats.parse_permutation("[3,2,]")
         with pytest.raises(ContractError):
             formats.parse_permutation("[1,1]")
+        # both would be permutations if the empty entry were dropped
+        for text in ("[1,2,]", "1,,2"):
+            with pytest.raises(ContractError, match="empty entry"):
+                formats.parse_permutation(text)
+        assert formats.parse_permutation("[2 , 1]") == perms.Permutation([2, 1])
 
     def test_graph_header_form(self):
         text = "4 1 4\n2 3\n2 4\n3 4\n"
@@ -601,29 +606,40 @@ PINNED_LINES = {
 _GRAPH = "4 1 4\n2 3\n2 4\n3 4\n"
 _MATRIX = "0110\n1010\n1100\n0000\n"
 _PRECEDENCE = "0111\n0011\n0001\n0000\n"
+_GF2_VIEW = {"cli_gf2", "convert", "f2", "perms"}
 COMMAND_MODULES = [
     (None, set()),
     *(
-        (["perm", cmd, "[1,4,2,5,3]"], {"perms"})
+        (["perm", cmd, "[1,4,2,5,3]"], {"cli_perm", "perms"})
         for cmd in ("sort", "check", "cycles", "pile")
     ),
-    (["graph", "check", _GRAPH], {"graphs", "f2"}),
-    (["graph", "gcds", _GRAPH, "2", "3"], {"graphs", "f2"}),
-    (["graph", "cuts", _GRAPH], {"graphs", "f2"}),
-    (["graph", "props", _GRAPH], {"graphs", "f2"}),
-    (["matrix", "mcds", _MATRIX, "1", "2"], {"f2"}),
-    (["matrix", "rank", _MATRIX], {"f2"}),
-    (["matrix", "kernel", _MATRIX], {"f2"}),
-    (["realize", "011\n101\n110\n"], {"convert", "f2", "perms"}),
-    (["convert", "adj2prec", "000\n000\n000\n"], {"convert", "f2", "perms"}),
-    (["convert", "prec2adj", _PRECEDENCE], {"convert", "f2", "perms"}),
+    (["graph", "check", _GRAPH], {"cli_gf2", "graphs", "f2"}),
+    (["graph", "gcds", _GRAPH, "2", "3"], {"cli_gf2", "graphs", "f2"}),
+    (["graph", "cuts", _GRAPH], {"cli_gf2", "graphs", "f2"}),
+    (["graph", "props", _GRAPH], {"cli_gf2", "graphs", "f2"}),
+    (["matrix", "mcds", _MATRIX, "1", "2"], {"cli_gf2", "f2"}),
+    (["matrix", "rank", _MATRIX], {"cli_gf2", "f2"}),
+    (["matrix", "kernel", _MATRIX], {"cli_gf2", "f2"}),
+    (["realize", "011\n101\n110\n"], _GF2_VIEW),
+    (["convert", "adj2prec", "000\n000\n000\n"], _GF2_VIEW),
+    (["convert", "prec2adj", _PRECEDENCE], _GF2_VIEW),
     (["count", "--n", "5"], {"counting"}),
     (["count", "--n", "160", "--method", "rank_sum"], {"counting"}),
     (["count", "--n", "160", "--eulerian"], {"counting"}),
     (["count", "--n", "6", "--method", "brute_force"], {"counting", "oracle"}),
     (
         ["verify", "--suite", "table"],
-        {"convert", "counting", "f2", "graphs", "oracle", "perms", "verify"},
+        {
+            "convergence",
+            "convert",
+            "counting",
+            "f2",
+            "graphs",
+            "oracle",
+            "oracle_search",
+            "perms",
+            "verify",
+        },
     ),
 ]
 
@@ -674,6 +690,40 @@ print(codes, sorted(set(cdslab) - base), sorted(m for m in sys.modules if m in s
         assert tuple(name for name, _ in cli._SUITES) == verify.SUITE_NAMES
         assert cli._COUNT_METHODS == counting.COUNT_METHODS
 
+    def test_every_handler_resolves_in_its_module(self):
+        # run imports a handler by module and name only when it dispatches,
+        # so a renamed handler would otherwise fail only on its own command
+        parser = cli.build_parser()
+        handlers = [(module, fn) for _, _, module, fn, _ in cli._COMMANDS]
+        for argv in (
+            ["realize"],
+            ["count", "--n", "3"],
+            ["table"],
+            ["verify", "--suite", "all"],
+        ):
+            handlers.append(parser.parse_args(argv).handler)
+        assert ("cli_gf2", "_cmd_realize") in handlers
+        for module, fn in handlers:
+            home = importlib.import_module(f"cdslab.{module}")
+            assert callable(getattr(home, fn, None)), f"{module}.{fn}"
+
+    def test_closed_output_pipe_exits_without_a_traceback(self):
+        # the table is far larger than a pipe's buffer, so the command is
+        # still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cdslab", "table", "--max-n", "100"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.stdout.read(3) == b"  n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert err == ""
+
 
 # standard modules no command path loads: dataclasses pulls in inspect, ast,
 # dis and tokenize, and fractions pulls in decimal and numbers (count writes
@@ -693,15 +743,18 @@ FORBIDDEN = {
 RATIO_IMPORTS = {"fractions", "decimal", "numbers"}
 
 
+# the directory this cdslab is imported from
+SRC = os.path.dirname(os.path.dirname(cdslab.__file__))
+
+
 def fresh_interpreter(code: str) -> str:
     """Stdout of `code` run in a new interpreter that imports this cdslab."""
-    src = os.path.dirname(os.path.dirname(cdslab.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()

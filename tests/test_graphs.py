@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from cdslab import f2, oracle, perms
+from cdslab import f2, oracle_search, perms
 from cdslab.errors import ContractError, InvalidMoveError, SizeLimitError
 from cdslab.graphs import (
     RootedGraph,
@@ -115,7 +115,7 @@ class TestSortability:
 
     def test_matches_bruteforce_exhaustively(self):
         for g in all_graphs(4):
-            assert is_gcds_sortable(g) == oracle.gcds_sortable_bruteforce(g)
+            assert is_gcds_sortable(g) == oracle_search.gcds_sortable_bruteforce(g)
 
     def test_eulerian(self):
         assert is_eulerian(triangle())
@@ -126,8 +126,8 @@ class TestSortability:
 class TestParityCuts:
     def test_flavors_on_a_path(self):
         path = RootedGraph.from_edges(3, [(0, 1), (1, 2)])
-        root_even = oracle.parity_cuts_bruteforce(path, "two_sided_root_even")
-        generalized = oracle.parity_cuts_bruteforce(path, "generalized")
+        root_even = oracle_search.parity_cuts_bruteforce(path, "two_sided_root_even")
+        generalized = oracle_search.parity_cuts_bruteforce(path, "generalized")
         rows = [
             (set(), True, True),
             ({0, 2}, False, True),
@@ -137,7 +137,7 @@ class TestParityCuts:
             assert (frozenset(cut) in root_even) == in_root_even
             assert (frozenset(cut) in generalized) == in_generalized
         with pytest.raises(ContractError):
-            oracle.parity_cuts_bruteforce(path, "one_sided")
+            oracle_search.parity_cuts_bruteforce(path, "one_sided")
 
     def test_generalized_cuts_are_the_kernel(self):
         g = example_graph()
@@ -151,9 +151,8 @@ class TestParityCuts:
     def test_generalized_cuts_match_scan(self):
         for g in all_graphs(4):
             got = set(generalized_parity_cuts(g))
-            want = {
-                frozenset(c) for c in oracle.parity_cuts_bruteforce(g, "generalized")
-            }
+            scanned = oracle_search.parity_cuts_bruteforce(g, "generalized")
+            want = {frozenset(c) for c in scanned}
             assert got == {
                 sum(1 << v for v in c) for c in want
             }

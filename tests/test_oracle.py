@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from cdslab import f2, graphs, oracle, perms
+from cdslab import f2, graphs, oracle, oracle_search, perms
 from cdslab.errors import ContractError, SizeLimitError
 from test_formats_cli import fresh_interpreter
 
@@ -60,18 +60,19 @@ def is_even(rows: tuple[int, ...]) -> bool:
 
 class TestSearch:
     def test_pinned_permutations(self):
-        assert not oracle.cds_sortable_bruteforce(EXAMPLE)
-        assert oracle.cds_sortable_bruteforce(perms.Permutation([1, 3, 2]))
-        assert oracle.cds_sortable_bruteforce(perms.Permutation.identity(3))
+        assert not oracle_search.cds_sortable_bruteforce(EXAMPLE)
+        assert oracle_search.cds_sortable_bruteforce(perms.Permutation([1, 3, 2]))
+        assert oracle_search.cds_sortable_bruteforce(perms.Permutation.identity(3))
 
     def test_matches_pile_criterion(self):
         for n in range(1, 6):
             for tup in permutations(range(1, n + 1)):
                 p = perms.Permutation(tup)
-                assert oracle.cds_sortable_bruteforce(p) == perms.is_cds_sortable(p)
+                want = perms.is_cds_sortable(p)
+                assert oracle_search.cds_sortable_bruteforce(p) == want
 
     def test_search_stats(self):
-        sortable = oracle.gcds_sortable_search(triangle())
+        sortable = oracle_search.gcds_sortable_search(triangle())
         assert sortable.result is True
         assert sortable.max_depth >= 1
         with pytest.raises(AttributeError):
@@ -80,31 +81,31 @@ class TestSearch:
     def test_graph_search_matches_permutation_search(self):
         for tup in permutations(range(1, 5)):
             p = perms.Permutation(tup)
-            assert oracle.gcds_sortable_bruteforce(
+            assert oracle_search.gcds_sortable_bruteforce(
                 perms.overlap_graph(p)
-            ) == oracle.cds_sortable_bruteforce(p)
+            ) == oracle_search.cds_sortable_bruteforce(p)
 
     def test_size_limits(self):
         with pytest.raises(SizeLimitError):
-            oracle.cds_sortable_bruteforce(perms.Permutation.identity(9))
+            oracle_search.cds_sortable_bruteforce(perms.Permutation.identity(9))
         with pytest.raises(SizeLimitError):
-            oracle.gcds_sortable_bruteforce(graphs.RootedGraph.from_edges(9, []))
+            oracle_search.gcds_sortable_bruteforce(graphs.RootedGraph.from_edges(9, []))
         with pytest.raises(SizeLimitError):
-            oracle.gcds_fixed_point_profile(graphs.RootedGraph.from_edges(9, []))
+            oracle_search.gcds_fixed_point_profile(graphs.RootedGraph.from_edges(9, []))
 
 
 class TestProfile:
     def test_pinned_profiles(self):
-        assert oracle.gcds_fixed_point_profile(triangle()) == {(1, True)}
+        assert oracle_search.gcds_fixed_point_profile(triangle()) == {(1, True)}
         og = perms.overlap_graph(EXAMPLE)
-        assert oracle.gcds_fixed_point_profile(og) == {(1, False)}
+        assert oracle_search.gcds_fixed_point_profile(og) == {(1, False)}
         edgeless = graphs.RootedGraph.from_edges(3, [])
-        assert oracle.gcds_fixed_point_profile(edgeless) == {(0, True)}
+        assert oracle_search.gcds_fixed_point_profile(edgeless) == {(0, True)}
 
     def test_length_is_the_distance(self):
         for tup in permutations(range(1, 6)):
             g = perms.overlap_graph(perms.Permutation(tup))
-            profile = oracle.gcds_fixed_point_profile(g)
+            profile = oracle_search.gcds_fixed_point_profile(g)
             lengths = {length for length, _ in profile}
             assert lengths == {f2.mcds_distance(g.adjacency)}
 
@@ -126,16 +127,16 @@ class TestCensus:
             lanes = lane_verdicts(n, 0)[0]
             for lo in range(0, total, lanes):
                 _, sortable, even = lane_verdicts(n, lo)
-                for i, rows in enumerate(oracle.graph_rows(n, lo, lo + lanes)):
+                for i, rows in enumerate(oracle_search.graph_rows(n, lo, lo + lanes)):
                     assert (sortable >> i) & 1 == kernel_reaches_ends(rows, n)
                     assert (even >> i) & 1 == is_even(rows)
 
     def test_lanes_match_the_move_search(self):
         for n in range(2, 6):
             _, sortable, _ = lane_verdicts(n, 0)
-            for i, rows in enumerate(oracle.graph_rows(n)):
+            for i, rows in enumerate(oracle_search.graph_rows(n)):
                 g = graphs.RootedGraph(f2.F2Matrix.from_row_bits(rows, n))
-                assert (sortable >> i) & 1 == oracle.gcds_sortable_bruteforce(g)
+                assert (sortable >> i) & 1 == oracle_search.gcds_sortable_bruteforce(g)
 
     def test_lanes_match_the_scalar_criterion_at_n7(self):
         rng = random.Random(7)
@@ -147,7 +148,7 @@ class TestCensus:
             if lo not in blocks:
                 blocks[lo] = lane_verdicts(7, lo)
             _, sortable, even = blocks[lo]
-            (rows,) = oracle.graph_rows(7, mask, mask + 1)
+            (rows,) = oracle_search.graph_rows(7, mask, mask + 1)
             assert (sortable >> (mask - lo)) & 1 == kernel_reaches_ends(rows, 7)
             assert (even >> (mask - lo)) & 1 == is_even(rows)
 
@@ -160,7 +161,7 @@ class TestGraphRows:
     def test_bit_k_selects_the_kth_pair(self):
         for n in range(0, 6):
             pairs = list(combinations(range(n), 2))
-            listed = list(oracle.graph_rows(n))
+            listed = list(oracle_search.graph_rows(n))
             assert len(listed) == 1 << len(pairs)
             for mask, rows in enumerate(listed):
                 edges = {
@@ -173,17 +174,17 @@ class TestGraphRows:
                 assert edges == want | {(v, u) for u, v in want}
 
     def test_mask_range(self):
-        everything = list(oracle.graph_rows(4))
-        assert list(oracle.graph_rows(4, 5, 9)) == everything[5:9]
-        assert list(oracle.graph_rows(4, 60)) == everything[60:]
+        everything = list(oracle_search.graph_rows(4))
+        assert list(oracle_search.graph_rows(4, 5, 9)) == everything[5:9]
+        assert list(oracle_search.graph_rows(4, 60)) == everything[60:]
 
 
 class TestCutScan:
     def test_bad_flavor_and_size(self):
         with pytest.raises(ContractError):
-            oracle.parity_cuts_bruteforce(triangle(), "sideways")
+            oracle_search.parity_cuts_bruteforce(triangle(), "sideways")
         with pytest.raises(SizeLimitError):
-            oracle.parity_cuts_bruteforce(
+            oracle_search.parity_cuts_bruteforce(
                 graphs.RootedGraph.from_edges(17, []), "generalized"
             )
 
@@ -193,7 +194,7 @@ class TestRealization:
         for n in range(2, 8):
             for tup in permutations(range(1, n + 1)):
                 p = perms.Permutation(tup)
-                assert oracle.move_graph_bruteforce(p) == perms.move_graph(p)
+                assert oracle_search.move_graph_bruteforce(p) == perms.move_graph(p)
 
     @pytest.mark.parametrize("n", [200, 300])
     def test_bit_rows_match_definitions_at_large_n(self, n):
@@ -201,7 +202,7 @@ class TestRealization:
         values = list(range(1, n + 1))
         rng.shuffle(values)
         p = perms.Permutation(values)
-        brute = oracle.move_graph_bruteforce(p)
+        brute = oracle_search.move_graph_bruteforce(p)
         assert perms.move_graph(p) == brute
         contexts = perms.cds_contexts(p)
         assert contexts == [
@@ -213,10 +214,10 @@ class TestRealization:
         g = perms.overlap_graph(p)
         for a, b in rng.sample(contexts, 3):
             moved = graphs.gcds(g, a, b).adjacency.rows
-            assert moved == oracle.gcds_move(g.adjacency.rows, a, b)
+            assert moved == oracle_search.gcds_move(g.adjacency.rows, a, b)
 
     def test_first_witness_is_lexicographic(self):
-        found = oracle.realizable_bruteforce(f2.F2Matrix.zeros(3, 3))
+        found = oracle_search.realizable_bruteforce(f2.F2Matrix.zeros(3, 3))
         assert found == perms.Permutation([1, 2, 3, 4])
 
     def test_realizable_count_is_factorial(self):
@@ -234,19 +235,19 @@ class TestRealization:
                         rows[u] |= 1 << v
                         rows[v] |= 1 << u
                 m = f2.F2Matrix.from_row_bits(rows, k)
-                if oracle.realizable_bruteforce(m) is not None:
+                if oracle_search.realizable_bruteforce(m) is not None:
                     realizable += 1
             assert realizable == math.factorial(k)
 
     def test_unrealizable_instance(self):
         m = f2.F2Matrix([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
-        assert oracle.realizable_bruteforce(m) is None
+        assert oracle_search.realizable_bruteforce(m) is None
 
     def test_validation(self):
         with pytest.raises(ContractError):
-            oracle.realizable_bruteforce(f2.F2Matrix([[0, 1], [0, 0]]))
+            oracle_search.realizable_bruteforce(f2.F2Matrix([[0, 1], [0, 0]]))
         with pytest.raises(SizeLimitError):
-            oracle.realizable_bruteforce(f2.F2Matrix.zeros(6, 6))
+            oracle_search.realizable_bruteforce(f2.F2Matrix.zeros(6, 6))
 
 
 class TestIndependence:
@@ -256,6 +257,13 @@ class TestIndependence:
             "if m.startswith('cdslab.')))"
         )
         assert fresh_interpreter(code) == "['cdslab.errors', 'cdslab.oracle']"
+
+    def test_search_import_loads_no_analytic_module(self):
+        code = (
+            "import cdslab.oracle_search, sys; print(sorted(m for m in sys.modules "
+            "if m.startswith('cdslab.')))"
+        )
+        assert fresh_interpreter(code) == "['cdslab.errors', 'cdslab.oracle_search']"
 
     def test_entry_points_run_without_the_f2_kernels(self, monkeypatch):
         # the inputs are built first: RootedGraph checks symmetry with f2
@@ -273,22 +281,23 @@ class TestIndependence:
         monkeypatch.setattr(f2.F2Matrix, "transpose", unavailable)
         monkeypatch.setattr(f2, "_forward", unavailable)
         first = perms.Permutation([1, 4, 3, 2, 5])
-        assert oracle.realizable_bruteforce(moves) == first
-        assert oracle.realizable_bruteforce(path) == perms.Permutation([1, 4, 3, 2])
-        assert oracle.realizable_bruteforce(star) is None
+        assert oracle_search.realizable_bruteforce(moves) == first
+        found = oracle_search.realizable_bruteforce(path)
+        assert found == perms.Permutation([1, 4, 3, 2])
+        assert oracle_search.realizable_bruteforce(star) is None
         for bad in (lopsided, looped):
             with pytest.raises(ContractError, match="symmetric with zero diagonal"):
-                oracle.realizable_bruteforce(bad)
+                oracle_search.realizable_bruteforce(bad)
         assert oracle.census_bruteforce(5) == 113
-        assert not oracle.cds_sortable_bruteforce(EXAMPLE)
-        assert not oracle.gcds_sortable_bruteforce(og)
-        assert oracle.gcds_sortable_search(tri).result is True
-        assert oracle.gcds_fixed_point_profile(og) == {(1, False)}
-        assert oracle.parity_cuts_bruteforce(og) == [
+        assert not oracle_search.cds_sortable_bruteforce(EXAMPLE)
+        assert not oracle_search.gcds_sortable_bruteforce(og)
+        assert oracle_search.gcds_sortable_search(tri).result is True
+        assert oracle_search.gcds_fixed_point_profile(og) == {(1, False)}
+        assert oracle_search.parity_cuts_bruteforce(og) == [
             frozenset(),
             frozenset({1, 3}),
             frozenset({0, 2, 4, 5}),
             frozenset(range(6)),
         ]
-        assert oracle.n0_bruteforce(4, 2) == 35
-        assert oracle.move_graph_bruteforce(EXAMPLE) == moves
+        assert oracle_search.n0_bruteforce(4, 2) == 35
+        assert oracle_search.move_graph_bruteforce(EXAMPLE) == moves
