@@ -3,9 +3,10 @@
 The two counting methods in cdslab.counting agree at every size when no
 degree restriction is imposed, but give different even-degree (Eulerian)
 counts from n = 6 on.  This script enumerates every two-rooted graph with
-all vertex degrees even up to --max-n, counts the sortable ones by the
-kernel criterion (recomputed inside the oracle), and records which method
-the census supports.
+all vertex degrees even up to --max-n (default and limit: the Eulerian
+census limit, n = 8), counts the sortable ones by the kernel criterion
+(recomputed inside the oracle), and records which method the census
+supports.
 
 Writes a markdown report, by default reports/eulerian_adjudication.md. The
 report holds no date or timing, so rerunning it leaves the file unchanged;
@@ -19,13 +20,15 @@ import os
 import sys
 import time
 
+from cdslab.errors import CdsLabError
+from cdslab.oracle import EULERIAN_CENSUS_LIMIT
 from cdslab.verify import eulerian_adjudication
 
 DEFAULT_OUT = os.path.join("reports", "eulerian_adjudication.md")
 _METHODS = ("closed_formula", "rank_sum")
 
 
-def build_report(max_n: int = 6) -> str:
+def build_report(max_n: int = EULERIAN_CENSUS_LIMIT) -> str:
     """Run the census and render the adjudication as markdown text."""
     rows = eulerian_adjudication(max_n=max_n)
     always = [m for m in _METHODS if all(m in r["matches"] for r in rows)]
@@ -91,7 +94,9 @@ def build_report(max_n: int = 6) -> str:
     return "\n".join(lines)
 
 
-def write_report(out_path: str = DEFAULT_OUT, max_n: int = 6) -> str:
+def write_report(
+    out_path: str = DEFAULT_OUT, max_n: int = EULERIAN_CENSUS_LIMIT
+) -> str:
     """Build the report, write it to out_path, and return the text."""
     text = build_report(max_n=max_n)
     directory = os.path.dirname(out_path)
@@ -106,11 +111,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Adjudicate the even-degree counting methods by census."
     )
-    parser.add_argument("--max-n", type=int, default=6)
+    parser.add_argument("--max-n", type=int, default=EULERIAN_CENSUS_LIMIT)
     parser.add_argument("--out", default=DEFAULT_OUT)
     args = parser.parse_args(argv)
     start = time.perf_counter()
-    text = write_report(args.out, max_n=args.max_n)
+    try:
+        text = write_report(args.out, max_n=args.max_n)
+    except CdsLabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(text, end="")
     print(f"census time: {time.perf_counter() - start:.2f}s", file=sys.stderr)
     print(f"wrote {args.out}", file=sys.stderr)

@@ -25,7 +25,7 @@ import sys
 # process loads only what its subcommand needs: count loads none of the
 # three views.
 from . import formats
-from .errors import CdsLabError, ContractError, SizeLimitError
+from .errors import CdsLabError, ContractError
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -152,10 +152,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.brute_force:
         from . import oracle
 
-        if args.max_n > oracle.CENSUS_LIMIT:
-            raise SizeLimitError(
-                f"census limited to n <= {oracle.CENSUS_LIMIT}, got {args.max_n}"
-            )
+        oracle.check_census_size(args.max_n)
     rows = _table_rows(args.max_n, args.brute_force)
     _emit(
         args,

@@ -48,7 +48,8 @@ class SuiteReport(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        # a run that checked nothing proves nothing
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def render(self) -> str:
         lines = [c.render() for c in self.checks]
@@ -209,9 +210,18 @@ def _suite_table(max_n: int) -> list[CheckLine]:
     return out
 
 
+def _census_sizes(max_n: int, eulerian: bool) -> range:
+    """n = 3..max_n, refused before any census runs if the census of that
+    kind cannot reach max_n or the range is empty."""
+    if max_n < 3:
+        raise ContractError(f"the census checks start at n=3, got max-n {max_n}")
+    oracle.check_census_size(max_n, eulerian)
+    return range(3, max_n + 1)
+
+
 def _suite_census(max_n: int) -> list[CheckLine]:
     out = []
-    for n in range(3, min(max_n, oracle.CENSUS_LIMIT) + 1):
+    for n in _census_sizes(max_n, eulerian=False):
         t0 = time.perf_counter()
         brute = oracle.census_bruteforce(n)
         dt = time.perf_counter() - t0
@@ -227,15 +237,19 @@ def _suite_census(max_n: int) -> list[CheckLine]:
     return out
 
 
-def eulerian_adjudication(max_n: int = 6) -> list[dict[str, object]]:
-    """Exhaustive Eulerian census against both counting methods, per size.
+def eulerian_adjudication(
+    max_n: int = oracle.EULERIAN_CENSUS_LIMIT,
+) -> list[dict[str, object]]:
+    """Exhaustive Eulerian census against both counting methods, per size
+    n = 3..max_n; max_n past the Eulerian census limit raises
+    SizeLimitError and below 3 ContractError, before any census runs.
 
     Each row records the census count, the two computed counts, and which
     methods agree with the census. The caller draws the conclusion; nothing
     here assumes a winner.
     """
     rows: list[dict[str, object]] = []
-    for n in range(3, min(max_n, oracle.CENSUS_LIMIT) + 1):
+    for n in _census_sizes(max_n, eulerian=True):
         t0 = time.perf_counter()
         census = oracle.census_bruteforce(n, eulerian=True)
         dt = time.perf_counter() - t0
@@ -941,7 +955,7 @@ _SuiteFn = Callable[[int], "list[CheckLine]"]
 _SUITES: dict[str, tuple[_SuiteFn, int]] = {
     "table": (_suite_table, 10),
     "census": (_suite_census, 6),
-    "eulerian": (_suite_eulerian, 6),
+    "eulerian": (_suite_eulerian, oracle.EULERIAN_CENSUS_LIMIT),
     "sortability": (_suite_sortability, 7),
     "commuting": (_suite_commuting, 6),
     "distance": (_suite_distance, 6),

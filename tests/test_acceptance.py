@@ -70,6 +70,7 @@ def test_criterion_3_artifact(tmp_path, capsys):
     text = out_path.read_text(encoding="utf-8")
     assert "| 6 | 1024 | 589 | 365 | 589 | rank_sum |" in text
     assert "| 5 | 64 | 29 | 29 | 29 | closed_formula, rank_sum |" in text
+    assert "| 8 | 2097152 | 1183085 | 259533 | 1183085 | rank_sum |" in text
     with open(committed, encoding="utf-8") as fh:
         assert text == fh.read(), "committed report is stale; rerun the script"
     with capsys.disabled():

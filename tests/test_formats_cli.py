@@ -378,6 +378,18 @@ class TestCountTable:
         ) == 0
         assert capsys.readouterr().out.strip() == "589"
 
+    def test_brute_force_counts_reach_the_census_limits(self, capsys):
+        argv = ["count", "--n", "8", "--eulerian", "--method", "brute_force"]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == "1183085\n"
+        assert run(["count", "--n", "8", "--method", "brute_force"]) == 1
+        assert capsys.readouterr().err == "error: census limited to n <= 7, got 8\n"
+        argv = ["count", "--n", "9", "--eulerian", "--method", "brute_force"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: Eulerian census limited to n <= 8, got 9\n"
+        )
+
     def test_every_method_refuses_sizes_below_three(self, capsys):
         for method in ("closed_formula", "rank_sum", "brute_force"):
             for n in ("2", "1"):
@@ -524,6 +536,42 @@ class TestVerifyCommand:
                 "",
                 f"error: table limited to max-n <= 350, got {max_n}\n",
             )
+
+    @pytest.mark.parametrize(
+        "suite,max_n,error",
+        [
+            ("census", "2", "the census checks start at n=3, got max-n 2"),
+            ("eulerian", "2", "the census checks start at n=3, got max-n 2"),
+            ("census", "8", "census limited to n <= 7, got 8"),
+            ("census", "9", "census limited to n <= 7, got 9"),
+            ("eulerian", "9", "Eulerian census limited to n <= 8, got 9"),
+        ],
+    )
+    def test_census_suites_refuse_sizes_they_cannot_check(
+        self, suite, max_n, error, capsys, monkeypatch
+    ):
+        def no_census(*args, **kwargs):
+            raise AssertionError("a census ran")
+
+        monkeypatch.setattr(oracle, "census_bruteforce", no_census)
+        assert run(["verify", "--suite", suite, "--max-n", max_n]) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    def test_eulerian_suite_reaches_its_census_limit(self, capsys):
+        assert run(["verify", "--suite", "eulerian"]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "PASS eulerian census n=8: census=1183085 closed=259533 "
+            "rank_sum=1183085 matches=rank_sum\n"
+        ) in out
+        assert "suite eulerian: 7/7 checks passed" in out
+
+    def test_a_suite_with_no_check_lines_fails(self, capsys, monkeypatch):
+        monkeypatch.setitem(verify._SUITES, "table", (lambda max_n: [], 10))
+        assert run(["verify", "--suite", "table"]) == 1
+        assert capsys.readouterr().out.startswith("suite table: 0/0 checks passed")
+        assert run(["verify", "--suite", "table", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["passed"] is False
 
     def test_random_check_records_the_first_exception(self):
         line = verify._random_family("x", 3, lambda: (0,), lambda v: 1 // v)

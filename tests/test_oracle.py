@@ -47,15 +47,37 @@ def kernel_reaches_ends(rows: tuple[int, ...], n: int) -> bool:
     )
 
 
-def lane_verdicts(n: int, lo: int) -> tuple[int, int, int]:
-    """(lanes, sortable mask, even-degree mask) of the census block at lo."""
-    bits = min(oracle.CENSUS_BLOCK_BITS, n * (n - 1) // 2)
-    sortable, even = oracle._block_lanes(n, lo, oracle._lane_patterns(bits))
-    return 1 << bits, sortable, even
+def census_block(
+    n: int, lo: int, eulerian: bool
+) -> tuple[int, list[list[int]], int]:
+    """(lanes, adjacency lanes, sortable mask) of the census block at lo; the
+    Eulerian census enumerates the edge masks of the first n - 1 vertices."""
+    free = n - 1 if eulerian else n
+    bits = min(oracle.CENSUS_BLOCK_BITS, free * (free - 1) // 2)
+    full = (1 << (1 << bits)) - 1
+    build = oracle._even_degree_lanes if eulerian else oracle._edge_mask_lanes
+    adj = build(n, lo, oracle._lane_patterns(bits), full)
+    return 1 << bits, adj, oracle._lane_eliminate(n, adj, full)
+
+
+def lane_rows(adj: list[list[int]], i: int) -> tuple[int, ...]:
+    """The adjacency rows of the graph in lane i."""
+    return tuple(
+        sum(((lane >> i) & 1) << v for v, lane in enumerate(row)) for row in adj
+    )
 
 
 def is_even(rows: tuple[int, ...]) -> bool:
     return not any(r.bit_count() & 1 for r in rows)
+
+
+def completion(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The graph on one more vertex that joins each odd-degree vertex of
+    rows to it, so that every degree is even."""
+    m = len(rows)
+    odd = [r.bit_count() & 1 for r in rows]
+    last = sum(bit << u for u, bit in enumerate(odd))
+    return tuple(r | (bit << m) for r, bit in zip(rows, odd)) + (last,)
 
 
 class TestSearch:
@@ -121,19 +143,23 @@ class TestCensus:
         assert oracle.census_bruteforce(7) == 224689
         assert oracle.census_bruteforce(7, eulerian=True) == 14509
 
+    def test_pinned_eulerian_count_at_its_limit(self):
+        """At n = 8 the 2^21 even-degree graphs span 512 lane blocks; the
+        rank sum gives this count, the closed formula 259,533."""
+        assert oracle.census_bruteforce(8, eulerian=True) == 1183085
+
     def test_lanes_match_the_scalar_criterion(self):
         for n in range(2, 7):
             total = 1 << (n * (n - 1) // 2)
-            lanes = lane_verdicts(n, 0)[0]
+            lanes = census_block(n, 0, eulerian=False)[0]
             for lo in range(0, total, lanes):
-                _, sortable, even = lane_verdicts(n, lo)
+                _, _, sortable = census_block(n, lo, eulerian=False)
                 for i, rows in enumerate(oracle_search.graph_rows(n, lo, lo + lanes)):
                     assert (sortable >> i) & 1 == kernel_reaches_ends(rows, n)
-                    assert (even >> i) & 1 == is_even(rows)
 
     def test_lanes_match_the_move_search(self):
         for n in range(2, 6):
-            _, sortable, _ = lane_verdicts(n, 0)
+            _, _, sortable = census_block(n, 0, eulerian=False)
             for i, rows in enumerate(oracle_search.graph_rows(n)):
                 g = graphs.RootedGraph(f2.F2Matrix.from_row_bits(rows, n))
                 assert (sortable >> i) & 1 == oracle_search.gcds_sortable_bruteforce(g)
@@ -146,15 +172,62 @@ class TestCensus:
             mask = rng.getrandbits(21)
             lo = mask - mask % lanes
             if lo not in blocks:
-                blocks[lo] = lane_verdicts(7, lo)
-            _, sortable, even = blocks[lo]
+                blocks[lo] = census_block(7, lo, eulerian=False)
+            _, _, sortable = blocks[lo]
             (rows,) = oracle_search.graph_rows(7, mask, mask + 1)
             assert (sortable >> (mask - lo)) & 1 == kernel_reaches_ends(rows, 7)
-            assert (even >> (mask - lo)) & 1 == is_even(rows)
 
     def test_size_limit(self):
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match="^census limited to n <= 7, got 8$"):
             oracle.census_bruteforce(8)
+        with pytest.raises(
+            SizeLimitError, match="^Eulerian census limited to n <= 8, got 9$"
+        ):
+            oracle.census_bruteforce(9, eulerian=True)
+        with pytest.raises(ContractError):
+            oracle.census_bruteforce(1, eulerian=True)
+
+
+class TestEvenDegreeLanes:
+    def test_every_lane_is_an_even_completion_and_matches_the_criterion(self):
+        for n in range(2, 7):
+            total = 1 << ((n - 1) * (n - 2) // 2)
+            lanes = census_block(n, 0, eulerian=True)[0]
+            for lo in range(0, total, lanes):
+                _, adj, sortable = census_block(n, lo, eulerian=True)
+                heads = oracle_search.graph_rows(n - 1, lo, lo + lanes)
+                for i, head in enumerate(heads):
+                    rows = lane_rows(adj, i)
+                    assert rows == completion(head)
+                    assert is_even(rows)
+                    assert (sortable >> i) & 1 == kernel_reaches_ends(rows, n)
+
+    def test_completions_are_exactly_the_even_graphs(self):
+        for n in range(2, 7):
+            lanes, adj, _ = census_block(n, 0, eulerian=True)
+            assert lanes == 1 << ((n - 1) * (n - 2) // 2)  # one block up to 6
+            completed = [lane_rows(adj, i) for i in range(lanes)]
+            even = [r for r in oracle_search.graph_rows(n) if is_even(r)]
+            assert len(set(completed)) == lanes
+            assert set(completed) == set(even)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_random_lanes_match_the_criterion(self, n):
+        rng = random.Random(n)
+        pairs = (n - 1) * (n - 2) // 2
+        lanes = 1 << oracle.CENSUS_BLOCK_BITS
+        blocks = {}
+        for _ in range(1000):
+            mask = rng.getrandbits(pairs)
+            lo = mask - mask % lanes
+            if lo not in blocks:
+                blocks[lo] = census_block(n, lo, eulerian=True)
+            _, adj, sortable = blocks[lo]
+            rows = lane_rows(adj, mask - lo)
+            (head,) = oracle_search.graph_rows(n - 1, mask, mask + 1)
+            assert rows == completion(head)
+            assert is_even(rows)
+            assert (sortable >> (mask - lo)) & 1 == kernel_reaches_ends(rows, n)
 
 
 class TestGraphRows:
