@@ -25,13 +25,11 @@ from cdslab.oracle import EULERIAN_CENSUS_LIMIT
 from cdslab.verify import eulerian_adjudication
 
 DEFAULT_OUT = os.path.join("reports", "eulerian_adjudication.md")
-_METHODS = ("closed_formula", "rank_sum")
 
 
 def build_report(max_n: int = EULERIAN_CENSUS_LIMIT) -> str:
     """Run the census and render the adjudication as markdown text."""
-    rows = eulerian_adjudication(max_n=max_n)
-    always = [m for m in _METHODS if all(m in r["matches"] for r in rows)]
+    rows, always = eulerian_adjudication(max_n=max_n)
 
     lines = [
         "# Even-degree sortable counts: census adjudication",
@@ -55,39 +53,37 @@ def build_report(max_n: int = EULERIAN_CENSUS_LIMIT) -> str:
         "|--:|--:|--:|--:|--:|:--|",
     ]
     for r in rows:
-        n = int(r["n"])
-        population = 1 << ((n - 1) * (n - 2) // 2)
-        matches = ", ".join(r["matches"]) or "neither"
+        population = 1 << ((r.n - 1) * (r.n - 2) // 2)
+        matches = ", ".join(r.matches) or "neither"
         lines.append(
-            f"| {n} | {population} | {r['census']} | {r['closed_formula']} |"
-            f" {r['rank_sum']} | {matches} |"
+            f"| {r.n} | {population} | {r.census} | {r.closed_formula} |"
+            f" {r.rank_sum} | {matches} |"
         )
     lines += [
         "",
         "## Conclusion",
         "",
     ]
-    if always == ["rank_sum"]:
-        first_bad = next(
-            r for r in rows if "closed_formula" not in r["matches"]
-        )
+    if always == ("rank_sum",):
+        first_bad = next(r for r in rows if "closed_formula" not in r.matches)
         lines += [
             "The census agrees with the rank sum at every size tested and",
-            f"contradicts the closed formula from n = {first_bad['n']} on",
-            f"({first_bad['census']} vs {first_bad['closed_formula']}).",
+            f"contradicts the closed formula from n = {first_bad.n} on",
+            f"({first_bad.census} vs {first_bad.closed_formula}).",
             "For even-degree counts, `count_sortable_rank_sum` is the",
             "method the census supports.  The direct formula is kept in",
             "the library and the CLI table so the discrepancy stays",
             "visible.",
         ]
-    elif always == list(_METHODS):
+    elif always == ("closed_formula", "rank_sum"):
         lines += [
             "Both methods match the census at every size tested; census",
-            f"sizes up to {rows[-1]['n']} do not separate them.",
+            f"sizes up to {rows[-1].n} do not separate them.",
         ]
     else:
         lines += [
-            f"Methods matching the census at every size: {always or 'none'}.",
+            "Methods matching the census at every size: "
+            f"{', '.join(always) or 'none'}.",
             "Inspect the table above before trusting either method.",
         ]
     lines.append("")

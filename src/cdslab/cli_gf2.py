@@ -20,7 +20,8 @@ if TYPE_CHECKING:
 
 
 def _matrix_lines(m: f2.F2Matrix) -> list[str]:
-    return formats.format_matrix(m).splitlines()
+    # split(), not splitlines(): a matrix with no rows has no lines
+    return formats.format_matrix(m).split()
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +158,7 @@ def _cmd_matrix_kernel(args: argparse.Namespace) -> int:
 
     m = formats.parse_matrix(_read_text(args.data))
     basis = f2.kernel_basis(m)
-    # as format_matrix writes a row: column 0 first
-    top = 1 << m.ncols
-    strings = [bin(v | top)[:2:-1] for v in basis]
+    strings = _matrix_lines(f2.F2Matrix.from_row_bits(basis, m.ncols))
     lines = [f"dimension {len(basis)}"] + strings
     _emit(
         args,

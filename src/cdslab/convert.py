@@ -70,10 +70,7 @@ def adjacency_to_precedence(a: f2.F2Matrix) -> f2.F2Matrix:
 
     Input: symmetric zero-diagonal (n+1) x (n+1); output (n+2) x (n+2).
     """
-    if not a.is_square:
-        raise ContractError(f"adjacency must be square, got {a.shape}")
-    if not a.is_symmetric() or not a.is_zero_diagonal():
-        raise ContractError("adjacency must be symmetric with a zero diagonal")
+    f2.check_adjacency(a, "adjacency")
     return f2.F2Matrix.from_row_bits(_precedence_rows(a.rows), a.nrows + 1)
 
 
@@ -155,10 +152,9 @@ def realize_move_graph(m: f2.F2Matrix) -> perms.Permutation | None:
     each, and an O(n^2) witness check for each candidate that passes the
     order test.
     """
-    if not m.is_square or m.nrows < 1:
-        raise ContractError(f"move graph must be square and non-empty, got {m.shape}")
-    if not m.is_symmetric() or not m.is_zero_diagonal():
-        raise ContractError("move graph must be symmetric with a zero diagonal")
+    f2.check_adjacency(m, "move graph")
+    if not m.nrows:
+        raise ContractError("move graph must be non-empty")
     k = m.nrows  # move graph size, = n - 1
     n = k + 1
     size = n + 2  # framed precedence size

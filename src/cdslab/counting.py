@@ -104,16 +104,6 @@ class CountReport(_CountFields):
         return ratio
 
 
-def _check_center(a: F2Matrix) -> None:
-    """Refuse a center that is not a symmetric zero-diagonal square."""
-    if not a.is_square:
-        raise ContractError(f"center must be square, got {a.shape}")
-    if not a.is_symmetric():
-        raise ContractError("center must be symmetric")
-    if not a.is_zero_diagonal():
-        raise ContractError("center must have a zero diagonal")
-
-
 def block_construct(a: F2Matrix, u1: int, u2: int) -> F2Matrix:
     """Extend an n x n center to an (n+2) x (n+2) two-rooted adjacency matrix.
 
@@ -122,9 +112,9 @@ def block_construct(a: F2Matrix, u1: int, u2: int) -> F2Matrix:
     when they do not fit. The center must be symmetric with zero diagonal;
     the output then is too, and is always swap-sortable.
     """
-    _check_center(a)
-    from .f2 import F2Matrix
+    from . import f2
 
+    f2.check_adjacency(a, "center")
     n = a.nrows
     b1 = a.mat_vec(u1)
     b2 = a.mat_vec(u2)
@@ -133,7 +123,7 @@ def block_construct(a: F2Matrix, u1: int, u2: int) -> F2Matrix:
     for i, r in enumerate(a.rows):
         rows.append((b1 >> i & 1) | (r << 1) | ((b2 >> i & 1) << (n + 1)))
     rows.append(corner | (b2 << 1))
-    return F2Matrix.from_row_bits(rows, n + 2)
+    return f2.F2Matrix.from_row_bits(rows, n + 2)
 
 
 def sortable_extensions_count(a: F2Matrix, eulerian: bool = False) -> int:
@@ -142,9 +132,9 @@ def sortable_extensions_count(a: F2Matrix, eulerian: bool = False) -> int:
     Each center of rank r admits 4**r sortable extensions, of which 2**r
     are Eulerian.
     """
-    _check_center(a)
     from . import f2
 
+    f2.check_adjacency(a, "center")
     base = 2 if eulerian else 4
     return base ** f2.rank(a)
 

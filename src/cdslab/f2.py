@@ -36,6 +36,7 @@ from .errors import ContractError, InternalInvariantError, InvalidMoveError
 
 __all__ = [
     "F2Matrix",
+    "check_adjacency",
     "rank",
     "kernel_basis",
     "solve_linear",
@@ -239,6 +240,20 @@ class F2Matrix:
         return f"F2Matrix([{body}])"
 
 
+def check_adjacency(m: F2Matrix, noun: str) -> None:
+    """Refuse m unless it is square, symmetric and zero on the diagonal.
+
+    The ContractError names the caller's noun and the first of the three
+    properties that fails, in that order.
+    """
+    if not m.is_square:
+        raise ContractError(f"{noun} must be square, got {m.nrows}x{m.ncols}")
+    if not m.is_symmetric():
+        raise ContractError(f"{noun} must be symmetric")
+    if not m.is_zero_diagonal():
+        raise ContractError(f"{noun} must have a zero diagonal")
+
+
 def _forward(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]:
     """Row echelon form by the forward pass; returns (pivot columns, rows).
 
@@ -403,12 +418,9 @@ def mcds_distance(m: F2Matrix) -> int:
     central rank of such a matrix is always even; an odd value indicates a
     bug and raises InternalInvariantError.
     """
-    if not m.is_square or m.nrows < 2:
-        raise ContractError("distance needs a square matrix of size >= 2")
-    if not m.is_symmetric():
-        raise ContractError("distance needs a symmetric matrix")
-    if not m.is_zero_diagonal():
-        raise ContractError("distance needs a zero-diagonal matrix")
+    check_adjacency(m, "matrix")
+    if m.nrows < 2:
+        raise ContractError(f"distance needs size >= 2, got {m.nrows}")
     r = rank(central_submatrix(m, "both"))
     if r % 2:
         raise InternalInvariantError(

@@ -29,17 +29,10 @@ class RootedGraph:
     __slots__ = ("adjacency",)
 
     def __init__(self, adjacency: f2.F2Matrix):
-        if not adjacency.is_square:
-            raise ContractError(
-                "adjacency matrix must be square, got "
-                f"{adjacency.nrows}x{adjacency.ncols}"
-            )
-        if adjacency.nrows < 2:
+        # the vertex count is checked as soon as it is defined
+        if adjacency.is_square and adjacency.nrows < 2:
             raise ContractError("a two-rooted graph needs at least 2 vertices")
-        if not adjacency.is_symmetric():
-            raise ContractError("adjacency matrix must be symmetric")
-        if not adjacency.is_zero_diagonal():
-            raise ContractError("adjacency matrix must have a zero diagonal")
+        f2.check_adjacency(adjacency, "adjacency matrix")
         object.__setattr__(self, "adjacency", adjacency)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -154,8 +147,6 @@ def is_eulerian(g: RootedGraph) -> bool:
 def is_gcds_sortable(g: RootedGraph) -> bool:
     """Kernel criterion: the kernel of the adjacency matrix must contain a
     vector picking up root 0 but not root n-1, and one the other way round."""
-    if g.n < 2:
-        raise ContractError("sortability needs at least 2 vertices")
     return f2.is_mcds_sortable(g.adjacency)
 
 
@@ -192,8 +183,6 @@ def has_property(g: RootedGraph, which: str) -> bool:
     if which not in ("a", "b", "c"):
         raise ContractError(f"unknown property {which!r}")
     n = g.n
-    if n < 2:
-        raise ContractError("properties need at least 2 vertices")
     # Row v of (A + D): the adjacency row with the degree parity on the
     # diagonal (the diagonal of A itself is zero).
     sys_rows = [

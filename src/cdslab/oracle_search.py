@@ -18,7 +18,15 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Hashable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Sequence,
+)
 
 from .errors import ContractError, InternalInvariantError, SizeLimitError
 
@@ -50,6 +58,40 @@ N0_LIMIT = 5
 REALIZE_LIMIT = 6
 
 _FLAVORS = ("two_sided_root_even", "generalized")
+
+
+def _check_search_size(n: int) -> None:
+    if n > SEARCH_LIMIT:
+        raise SizeLimitError(f"search limited to n <= {SEARCH_LIMIT}, got {n}")
+
+
+def _reaches(
+    start: Hashable,
+    is_goal: Callable[[Hashable], bool],
+    children: Callable[[Hashable], Iterable[Hashable]],
+) -> bool:
+    """Whether a goal state is reachable from start, by depth-first search
+    memoized by state; children are taken lazily, so the search stops at
+    the first child that reaches a goal."""
+    memo: dict[Hashable, bool] = {}
+    path: set[Hashable] = set()
+
+    def walk(state: Hashable) -> bool:
+        cached = memo.get(state)
+        if cached is not None:
+            return cached
+        if state in path:
+            raise InternalInvariantError("moves formed a cycle")
+        if is_goal(state):
+            result = True
+        else:
+            path.add(state)
+            result = any(map(walk, children(state)))
+            path.remove(state)
+        memo[state] = result
+        return result
+
+    return walk(start)
 
 
 class SearchStats(NamedTuple):
@@ -115,27 +157,11 @@ def _perm_children(state: tuple[int, ...]) -> list[tuple[int, ...]]:
     return children
 
 
-def _cds_sortable(state: tuple[int, ...], path: set, memo: dict) -> bool:
-    cached = memo.get(state)
-    if cached is not None:
-        return cached
-    if state in path:
-        raise InternalInvariantError("swap moves formed a cycle")
-    if state == tuple(range(1, len(state) + 1)):
-        result = True
-    else:
-        path.add(state)
-        result = any(_cds_sortable(c, path, memo) for c in _perm_children(state))
-        path.remove(state)
-    memo[state] = result
-    return result
-
-
 def cds_sortable_bruteforce(pi: Permutation) -> bool:
     """Whether the identity is reachable by swap moves; memoized search."""
-    if len(pi) > SEARCH_LIMIT:
-        raise SizeLimitError(f"search limited to n <= {SEARCH_LIMIT}, got {len(pi)}")
-    return _cds_sortable(tuple(pi), set(), {})
+    _check_search_size(len(pi))
+    identity = tuple(range(1, len(pi) + 1))
+    return _reaches(tuple(pi), identity.__eq__, _perm_children)
 
 
 # ---------------------------------------------------------------------------
@@ -178,36 +204,20 @@ def gcds_move(rows: Sequence[int], p: int, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _gcds_sortable(rows: tuple[int, ...], path: set, memo: dict) -> bool:
-    cached = memo.get(rows)
-    if cached is not None:
-        return cached
-    if rows in path:
-        raise InternalInvariantError("graph moves formed a cycle")
-    if not any(rows):
-        result = True
-    else:
-        path.add(rows)
-        result = any(
-            _gcds_sortable(gcds_move(rows, p, q), path, memo)
-            for p, q in _graph_contexts(rows)
-        )
-        path.remove(rows)
-    memo[rows] = result
-    return result
+def _graph_children(rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    for p, q in _graph_contexts(rows):
+        yield gcds_move(rows, p, q)
 
 
 def gcds_sortable_bruteforce(g: RootedGraph) -> bool:
     """Whether the edgeless graph is reachable by moves; memoized search."""
-    if g.n > SEARCH_LIMIT:
-        raise SizeLimitError(f"search limited to n <= {SEARCH_LIMIT}, got {g.n}")
-    return _gcds_sortable(g.adjacency.rows, set(), {})
+    _check_search_size(g.n)
+    return _reaches(g.adjacency.rows, lambda rows: not any(rows), _graph_children)
 
 
 def gcds_sortable_search(g: RootedGraph) -> SearchStats:
     """Breadth-first exploration of every graph reachable by moves."""
-    if g.n > SEARCH_LIMIT:
-        raise SizeLimitError(f"search limited to n <= {SEARCH_LIMIT}, got {g.n}")
+    _check_search_size(g.n)
     start = g.adjacency.rows
     seen = {start}
     frontier = [start]
@@ -215,8 +225,7 @@ def gcds_sortable_search(g: RootedGraph) -> SearchStats:
     while frontier:
         nxt = []
         for rows in frontier:
-            for p, q in _graph_contexts(rows):
-                child = gcds_move(rows, p, q)
+            for child in _graph_children(rows):
                 if child not in seen:
                     seen.add(child)
                     nxt.append(child)
@@ -256,8 +265,7 @@ def gcds_fixed_point_profile(g: RootedGraph) -> frozenset[tuple[int, bool]]:
     collects every achievable (number of moves, final graph is edgeless)
     pair; sequence lengths are expected to be an invariant of g.
     """
-    if g.n > SEARCH_LIMIT:
-        raise SizeLimitError(f"search limited to n <= {SEARCH_LIMIT}, got {g.n}")
+    _check_search_size(g.n)
     return _profile(g.adjacency.rows, set(), {})
 
 

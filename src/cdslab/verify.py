@@ -15,9 +15,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import convergence, convert, counting, f2, formats, graphs, oracle, perms
 from . import oracle_search
-from .errors import ContractError, InvalidMoveError
+from .errors import ContractError, InvalidMoveError, SizeLimitError
 
 __all__ = [
+    "CensusRow",
     "CheckLine",
     "SuiteReport",
     "SUITE_NAMES",
@@ -210,95 +211,88 @@ def _suite_table(max_n: int) -> list[CheckLine]:
     return out
 
 
-def _census_sizes(max_n: int, eulerian: bool) -> range:
-    """n = 3..max_n, refused before any census runs if the census of that
-    kind cannot reach max_n or the range is empty."""
+# the two counting methods, in the order census rows report them
+_METHODS = ("closed_formula", "rank_sum")
+
+
+class CensusRow(NamedTuple):
+    """The census of one size beside both counting methods' counts."""
+
+    n: int
+    census: int
+    closed_formula: int
+    rank_sum: int
+    seconds: float
+
+    @property
+    def matches(self) -> tuple[str, ...]:
+        """The counting methods whose count equals the census."""
+        return tuple(m for m in _METHODS if getattr(self, m) == self.census)
+
+
+def _census_rows(max_n: int, eulerian: bool) -> list[CensusRow]:
+    """The census of each n = 3..max_n, timed, beside both counting methods.
+
+    A max_n that the census of that kind cannot reach, or below 3, is
+    refused before any census runs.
+    """
     if max_n < 3:
         raise ContractError(f"the census checks start at n=3, got max-n {max_n}")
     oracle.check_census_size(max_n, eulerian)
-    return range(3, max_n + 1)
+    rows = []
+    for n in range(3, max_n + 1):
+        t0 = time.perf_counter()
+        census = oracle.census_bruteforce(n, eulerian=eulerian)
+        seconds = time.perf_counter() - t0
+        closed = counting.count_sortable(n, eulerian=eulerian).count
+        ranks = counting.count_sortable_rank_sum(n, eulerian=eulerian).count
+        rows.append(CensusRow(n, census, closed, ranks, seconds))
+    return rows
 
 
 def _suite_census(max_n: int) -> list[CheckLine]:
-    out = []
-    for n in _census_sizes(max_n, eulerian=False):
-        t0 = time.perf_counter()
-        brute = oracle.census_bruteforce(n)
-        dt = time.perf_counter() - t0
-        closed = counting.count_sortable(n).count
-        ranks = counting.count_sortable_rank_sum(n).count
-        out.append(
-            CheckLine(
-                f"census n={n}",
-                brute == closed == ranks,
-                f"brute={brute} closed={closed} rank_sum={ranks} ({dt:.2f}s)",
-            )
+    return [
+        CheckLine(
+            f"census n={row.n}",
+            row.matches == _METHODS,
+            f"brute={row.census} closed={row.closed_formula} "
+            f"rank_sum={row.rank_sum} ({row.seconds:.2f}s)",
         )
-    return out
+        for row in _census_rows(max_n, eulerian=False)
+    ]
 
 
 def eulerian_adjudication(
     max_n: int = oracle.EULERIAN_CENSUS_LIMIT,
-) -> list[dict[str, object]]:
+) -> tuple[list[CensusRow], tuple[str, ...]]:
     """Exhaustive Eulerian census against both counting methods, per size
     n = 3..max_n; max_n past the Eulerian census limit raises
     SizeLimitError and below 3 ContractError, before any census runs.
 
-    Each row records the census count, the two computed counts, and which
-    methods agree with the census. The caller draws the conclusion; nothing
-    here assumes a winner.
+    Returns the census rows and the methods matching the census at every
+    size. The caller draws the conclusion; nothing here assumes a winner.
     """
-    rows: list[dict[str, object]] = []
-    for n in _census_sizes(max_n, eulerian=True):
-        t0 = time.perf_counter()
-        census = oracle.census_bruteforce(n, eulerian=True)
-        dt = time.perf_counter() - t0
-        closed = counting.count_sortable(n, eulerian=True).count
-        ranks = counting.count_sortable_rank_sum(n, eulerian=True).count
-        matches = tuple(
-            name
-            for name, value in (("closed_formula", closed), ("rank_sum", ranks))
-            if value == census
-        )
-        rows.append(
-            {
-                "n": n,
-                "census": census,
-                "closed_formula": closed,
-                "rank_sum": ranks,
-                "matches": matches,
-                "seconds": dt,
-            }
-        )
-    return rows
+    rows = _census_rows(max_n, eulerian=True)
+    always = tuple(m for m in _METHODS if all(m in row.matches for row in rows))
+    return rows, always
 
 
 def _suite_eulerian(max_n: int) -> list[CheckLine]:
     out = []
-    rows = eulerian_adjudication(max_n)
+    rows, always = eulerian_adjudication(max_n)
     for row in rows:
-        n = row["n"]
-        matches = row["matches"]
-        ok = bool(matches)
-        if n in _EULERIAN_SMALL:
-            ok = row["census"] == _EULERIAN_SMALL[n] and matches == (
-                "closed_formula",
-                "rank_sum",
-            )
+        ok = bool(row.matches)
+        if row.n in _EULERIAN_SMALL:
+            ok = row.census == _EULERIAN_SMALL[row.n] and row.matches == _METHODS
         out.append(
             CheckLine(
-                f"eulerian census n={n}",
+                f"eulerian census n={row.n}",
                 ok,
-                f"census={row['census']} closed={row['closed_formula']} "
-                f"rank_sum={row['rank_sum']} "
-                f"matches={','.join(matches) or 'none'}",
+                f"census={row.census} closed={row.closed_formula} "
+                f"rank_sum={row.rank_sum} "
+                f"matches={','.join(row.matches) or 'none'}",
             )
         )
-    always = [
-        name
-        for name in ("closed_formula", "rank_sum")
-        if all(name in row["matches"] for row in rows)
-    ]
     out.append(
         CheckLine(
             "eulerian adjudication",
@@ -312,7 +306,7 @@ def _suite_eulerian(max_n: int) -> list[CheckLine]:
 
 def _suite_sortability(max_n: int) -> list[CheckLine]:
     out = []
-    for n in range(1, min(max_n, oracle_search.SEARCH_LIMIT) + 1):
+    for n in range(1, max_n + 1):
         sortable = 0
         bad = 0
         total = 0
@@ -341,7 +335,7 @@ def _suite_sortability(max_n: int) -> list[CheckLine]:
 
 def _suite_commuting(max_n: int) -> list[CheckLine]:
     out = []
-    for n in range(2, min(max_n, 7) + 1):
+    for n in range(2, max_n + 1):
         moves = 0
         bad = 0
         for pi in _all_perms(n):
@@ -411,7 +405,7 @@ def _suite_commuting(max_n: int) -> list[CheckLine]:
 
 def _suite_distance(max_n: int) -> list[CheckLine]:
     sequences, depths = [], []
-    for n in range(2, min(max_n, 6) + 1):
+    for n in range(2, max_n + 1):
         count = bad = depth_bad = sortable_count = 0
         for rows in oracle_search.graph_rows(n):
             g = _graph(rows)
@@ -442,7 +436,7 @@ def _suite_distance(max_n: int) -> list[CheckLine]:
 
 def _suite_conversion(max_n: int) -> list[CheckLine]:
     out = []
-    for n in range(1, min(max_n, 8) + 1):
+    for n in range(1, max_n + 1):
         bad = 0
         count = 0
         for pi in _all_perms(n):
@@ -482,8 +476,7 @@ def _suite_conversion(max_n: int) -> list[CheckLine]:
 
 def _suite_realize(max_n: int) -> list[CheckLine]:
     out = []
-    top = min(max_n, oracle_search.REALIZE_LIMIT - 1)
-    for k in range(1, top + 1):
+    for k in range(1, max_n + 1):
         realizable = 0
         total = 0
         bad = 0
@@ -505,7 +498,7 @@ def _suite_realize(max_n: int) -> list[CheckLine]:
                 f"{realizable}/{total} realizable, witnesses verified",
             )
         )
-    length = min(max_n + 1, oracle_search.REALIZE_LIMIT)
+    length = max_n + 1
     bad = 0
     count = 0
     for pi in _all_perms(length):
@@ -526,7 +519,6 @@ def _suite_realize(max_n: int) -> list[CheckLine]:
 
 def _suite_kernel(max_n: int) -> list[CheckLine]:
     gn = min(max_n, 6)
-    pn = min(max_n, 8)
     scan_lines, space_lines, swap_lines, root_lines = [], [], [], []
     for n in range(2, gn + 1):
         # one pass: every graph with its kernel (= generalized cut) masks
@@ -599,7 +591,7 @@ def _suite_kernel(max_n: int) -> list[CheckLine]:
     piles = 0
     sortable_perms = 0
     total_perms = 0
-    for n in range(1, pn + 1):
+    for n in range(1, max_n + 1):
         for pi in _all_perms(n):
             m = n + 1
             og = perms.overlap_graph(pi)
@@ -644,25 +636,25 @@ def _suite_kernel(max_n: int) -> list[CheckLine]:
             if graphs.has_property(og, "b"):
                 odd_sep_bad += 1
     perm_lines = [
-        CheckLine(f"cycle vectors orthogonal n<={pn}", ortho_bad == 0, ""),
+        CheckLine(f"cycle vectors orthogonal n<={max_n}", ortho_bad == 0, ""),
         CheckLine(
-            f"cycle vectors span overlap kernel n<={pn}",
+            f"cycle vectors span overlap kernel n<={max_n}",
             span_bad == 0,
             f"{total_perms} permutations",
         ),
-        CheckLine(f"cycle unions are root-even cuts n<={pn}", union_bad == 0, ""),
+        CheckLine(f"cycle unions are root-even cuts n<={max_n}", union_bad == 0, ""),
         CheckLine(
-            f"pile vector central-kernel membership n<={pn}",
+            f"pile vector central-kernel membership n<={max_n}",
             pile_bad == 0,
             f"{piles} nonempty piles",
         ),
         CheckLine(
-            f"sortable kernels need no end rows n<={pn}",
+            f"sortable kernels need no end rows n<={max_n}",
             end_rows_bad == 0,
             f"{sortable_perms} sortable permutations",
         ),
         CheckLine(
-            f"no overlap graph separates roots oddly n<={pn}", odd_sep_bad == 0, ""
+            f"no overlap graph separates roots oddly n<={max_n}", odd_sep_bad == 0, ""
         ),
     ]
     return scan_lines + space_lines + swap_lines + perm_lines + root_lines
@@ -670,7 +662,7 @@ def _suite_kernel(max_n: int) -> list[CheckLine]:
 
 def _suite_macwilliams(max_n: int) -> list[CheckLine]:
     out = []
-    for t in range(0, min(max_n, oracle_search.N0_LIMIT) + 1):
+    for t in range(0, max_n + 1):
         bad = 0
         total = 0
         for r in range(0, t + 1):
@@ -801,7 +793,7 @@ def _suite_blocks(max_n: int) -> list[CheckLine]:
     rng = random.Random(8)
     sample_bad = 0
     samples = 0
-    for n in range(gn + 1, min(max_n, 8) + 1):
+    for n in range(gn + 1, max_n + 1):
         t = n - 2
         for _ in range(200):
             rows, _edges = _random_symmetric_rows(rng, t)
@@ -818,7 +810,7 @@ def _suite_blocks(max_n: int) -> list[CheckLine]:
                 sample_bad += 1
     out.append(
         CheckLine(
-            f"sampled decomposition n<={min(max_n, 8)}",
+            f"sampled decomposition n<={max_n}",
             sample_bad == 0,
             f"{samples} random bordered graphs",
         )
@@ -827,7 +819,7 @@ def _suite_blocks(max_n: int) -> list[CheckLine]:
 
 
 def _suite_convergence(max_n: int) -> list[CheckLine]:
-    rep = convergence.convergence_report(max(10, max_n))
+    rep = convergence.convergence_report(max_n)
     details = {
         "x100_above_one_fifth": f"x_100 = {float(rep.x100):.12f}",
         "limit_positive_margin": f"limit >= {float(rep.limit_lower):.12f}",
@@ -875,11 +867,13 @@ def _random_family(
 
 
 def _suite_random(max_n: int) -> list[CheckLine]:
-    top = max(3, min(max_n, 16))
+    # a graph needs two non-root vertices to have a swap
+    if max_n < 4:
+        raise ContractError(f"the random checks need max-n >= 4, got {max_n}")
     rng = random.Random(20260819)
 
     def perm_move() -> tuple[perms.Permutation, int, int] | None:
-        n = rng.randint(2, top)
+        n = rng.randint(2, max_n)
         values = list(range(1, n + 1))
         rng.shuffle(values)
         pi = perms.Permutation(values)
@@ -894,7 +888,7 @@ def _suite_random(max_n: int) -> list[CheckLine]:
         return oracle_search.cds_move(pi, p, q) == perms.apply_cds(pi, p, q).elements
 
     def graph_move() -> tuple[graphs.RootedGraph, int, int] | None:
-        n = rng.randint(3, top)
+        n = rng.randint(3, max_n)
         rows, _edges = _random_symmetric_rows(rng, n)
         g = _graph(tuple(rows))
         ctx = graphs.context_pairs(g)
@@ -912,7 +906,7 @@ def _suite_random(max_n: int) -> list[CheckLine]:
         )
 
     def matrix_move() -> tuple[f2.F2Matrix, int, int] | None:
-        n = rng.randint(2, top)
+        n = rng.randint(2, max_n)
         rows, edges = _random_symmetric_rows(rng, n)
         if not edges:
             return None
@@ -930,7 +924,7 @@ def _suite_random(max_n: int) -> list[CheckLine]:
         )
 
     return [
-        _random_family(name, top, draw, check)
+        _random_family(name, max_n, draw, check)
         for name, draw, check in (
             ("random swaps keep permutations", perm_move, keeps_permutation),
             ("random swaps match the oracle", perm_move, matches_oracle),
@@ -950,22 +944,26 @@ def _suite_random(max_n: int) -> list[CheckLine]:
 
 _SuiteFn = Callable[[int], "list[CheckLine]"]
 
-# name -> (suite, default max_n); the one-line descriptions are the verify
+# name -> (suite, default max_n, largest max_n); run_suite refuses a max_n
+# past the largest before the suite starts. None: the suite refuses past the
+# limit of the library it checks (the table, census and convergence limits),
+# with that library's message. The one-line descriptions are the verify
 # subcommand's help, in cli._SUITES.
-_SUITES: dict[str, tuple[_SuiteFn, int]] = {
-    "table": (_suite_table, 10),
-    "census": (_suite_census, 6),
-    "eulerian": (_suite_eulerian, oracle.EULERIAN_CENSUS_LIMIT),
-    "sortability": (_suite_sortability, 7),
-    "commuting": (_suite_commuting, 6),
-    "distance": (_suite_distance, 6),
-    "conversion": (_suite_conversion, 7),
-    "realize": (_suite_realize, 5),
-    "kernel": (_suite_kernel, 7),
-    "macwilliams": (_suite_macwilliams, 5),
-    "blocks": (_suite_blocks, 8),
-    "convergence": (_suite_convergence, 50),
-    "random": (_suite_random, 16),
+_SUITES: dict[str, tuple[_SuiteFn, int, int | None]] = {
+    "table": (_suite_table, 10, None),
+    "census": (_suite_census, 6, None),
+    "eulerian": (_suite_eulerian, oracle.EULERIAN_CENSUS_LIMIT, None),
+    # a permutation of n has an overlap graph of n + 1 vertices to search
+    "sortability": (_suite_sortability, 7, oracle_search.SEARCH_LIMIT - 1),
+    "commuting": (_suite_commuting, 6, 7),
+    "distance": (_suite_distance, 6, 6),
+    "conversion": (_suite_conversion, 7, 8),
+    "realize": (_suite_realize, 5, oracle_search.REALIZE_LIMIT - 1),
+    "kernel": (_suite_kernel, 7, 8),
+    "macwilliams": (_suite_macwilliams, 5, oracle_search.N0_LIMIT),
+    "blocks": (_suite_blocks, 8, 8),
+    "convergence": (_suite_convergence, 50, None),
+    "random": (_suite_random, 16, 16),
 }
 
 SUITE_NAMES = tuple(_SUITES) + ("all",)
@@ -976,14 +974,15 @@ def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
 
     ``all`` runs every suite at its default size; since the sizes mean
     different things per suite, a max_n with ``all`` raises ContractError
-    rather than being ignored. Unknown names raise ContractError too.
+    rather than being ignored. Unknown names raise ContractError too, and a
+    max_n past what the suite checks raises SizeLimitError before it runs.
     """
     start = time.perf_counter()
     if name == "all":
         if max_n is not None:
             raise ContractError("--max-n applies to a single suite, not to all")
         checks: list[CheckLine] = []
-        for sub, (fn, default) in _SUITES.items():
+        for sub, (fn, default, _) in _SUITES.items():
             for line in fn(default):
                 checks.append(
                     CheckLine(f"{sub}: {line.name}", line.passed, line.detail)
@@ -997,10 +996,14 @@ def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
     if name not in _SUITES:
         known = ", ".join(SUITE_NAMES)
         raise ContractError(f"unknown suite {name!r}; available: {known}")
-    fn, default = _SUITES[name]
+    fn, default, largest = _SUITES[name]
     effective = default if max_n is None else max_n
     if effective < 1:
         raise ContractError(f"max_n must be positive, got {effective}")
+    if largest is not None and effective > largest:
+        raise SizeLimitError(
+            f"{name} suite limited to max-n <= {largest}, got {effective}"
+        )
     checks = fn(effective)
     return SuiteReport(
         suite=name,

@@ -2,10 +2,12 @@
 
 import functools
 import random
+import re
 import time
 
 import pytest
 
+from cdslab import convert, counting, graphs
 from cdslab.counting import block_construct
 from cdslab.errors import ContractError, InvalidMoveError
 from cdslab.f2 import (
@@ -180,6 +182,36 @@ class TestMcds:
         assert mcds_distance(m) == 1
         assert mcds_distance(m) == rank(central_submatrix(m, "both")) // 2
         assert mcds_distance(F2Matrix.zeros(4, 4)) == 0
+
+    def test_distance_needs_two_vertices(self):
+        with pytest.raises(ContractError, match=r"^distance needs size >= 2, got 1$"):
+            mcds_distance(F2Matrix([[0]]))
+
+
+# Each entry point that takes an adjacency matrix, with the noun its errors use.
+ADJACENCY_ENTRY_POINTS = (
+    (graphs.RootedGraph, "adjacency matrix"),
+    (lambda m: counting.block_construct(m, 0, 0), "center"),
+    (counting.sortable_extensions_count, "center"),
+    (convert.adjacency_to_precedence, "adjacency"),
+    (convert.realize_move_graph, "move graph"),
+    (mcds_distance, "matrix"),
+)
+# a matrix that breaks the contract, and the first property it fails
+BROKEN_ADJACENCIES = (
+    (F2Matrix.zeros(2, 3), "must be square, got 2x3"),
+    (F2Matrix([[0, 1, 0], [0, 0, 1], [0, 1, 0]]), "must be symmetric"),
+    (F2Matrix([[0, 1, 0], [1, 1, 1], [0, 1, 0]]), "must have a zero diagonal"),
+    # asymmetric and looped: symmetry is checked first
+    (F2Matrix([[1, 1], [0, 0]]), "must be symmetric"),
+)
+
+
+@pytest.mark.parametrize("call,noun", ADJACENCY_ENTRY_POINTS)
+@pytest.mark.parametrize("m,failure", BROKEN_ADJACENCIES)
+def test_adjacency_contract_names_the_noun_and_first_failure(call, noun, m, failure):
+    with pytest.raises(ContractError, match=f"^{re.escape(f'{noun} {failure}')}$"):
+        call(m)
 
 
 # The per-bit kernels that the word-parallel ones replaced, kept as references.

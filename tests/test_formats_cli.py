@@ -507,7 +507,7 @@ class TestVerifyCommand:
         def no_suite(*args):
             raise AssertionError("a suite ran")
 
-        monkeypatch.setitem(verify._SUITES, "table", (no_suite, 10))
+        monkeypatch.setitem(verify._SUITES, "table", (no_suite, 10, None))
         assert run(["verify", "--suite", "all", "--max-n", "2"]) == 1
         assert capsys.readouterr() == (
             "",
@@ -536,6 +536,61 @@ class TestVerifyCommand:
                 "",
                 f"error: table limited to max-n <= 350, got {max_n}\n",
             )
+
+    def test_convergence_below_its_floor_fails_at_once(self, capsys, monkeypatch):
+        def no_terms(*args):
+            raise AssertionError("a term was computed")
+
+        monkeypatch.setattr(counting, "_closed_formula_terms", no_terms)
+        assert run(["verify", "--suite", "convergence", "--max-n", "9"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: convergence report needs max_n >= 10, got 9\n",
+        )
+
+    def test_random_suite_refuses_sizes_without_graph_swaps(self, capsys, monkeypatch):
+        def no_family(*args):
+            raise AssertionError("a random family ran")
+
+        monkeypatch.setattr(verify, "_random_family", no_family)
+        for max_n in ("1", "3"):
+            assert run(["verify", "--suite", "random", "--max-n", max_n]) == 1
+            assert capsys.readouterr() == (
+                "",
+                f"error: the random checks need max-n >= 4, got {max_n}\n",
+            )
+
+    CAPPED_SUITES = [
+        (name, largest)
+        for name, (_, _, largest) in verify._SUITES.items()
+        if largest is not None
+    ]
+
+    @pytest.mark.parametrize("suite,largest", CAPPED_SUITES)
+    def test_capped_suites_refuse_past_their_largest_max_n(
+        self, suite, largest, capsys, monkeypatch
+    ):
+        _, default, _ = verify._SUITES[suite]
+        assert default <= largest
+        sizes = []
+
+        def no_suite(max_n):
+            raise AssertionError("the suite ran")
+
+        def record(max_n):
+            sizes.append(max_n)
+            return [verify.CheckLine("ran", True)]
+
+        monkeypatch.setitem(verify._SUITES, suite, (no_suite, default, largest))
+        too_big = str(largest + 1)
+        assert run(["verify", "--suite", suite, "--max-n", too_big]) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"error: {suite} suite limited to max-n <= {largest}, got {too_big}\n",
+        )
+        monkeypatch.setitem(verify._SUITES, suite, (record, default, largest))
+        assert verify.run_suite(suite, max_n=largest).passed
+        assert sizes == [largest]
 
     @pytest.mark.parametrize(
         "suite,max_n,error",
@@ -567,7 +622,7 @@ class TestVerifyCommand:
         assert "suite eulerian: 7/7 checks passed" in out
 
     def test_a_suite_with_no_check_lines_fails(self, capsys, monkeypatch):
-        monkeypatch.setitem(verify._SUITES, "table", (lambda max_n: [], 10))
+        monkeypatch.setitem(verify._SUITES, "table", (lambda max_n: [], 10, None))
         assert run(["verify", "--suite", "table"]) == 1
         assert capsys.readouterr().out.startswith("suite table: 0/0 checks passed")
         assert run(["verify", "--suite", "table", "--json"]) == 1
@@ -806,6 +861,20 @@ def fresh_interpreter(code: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+class TestCliDigest:
+    def test_quick_corpus_digests_every_subcommand(self):
+        path = os.path.join(os.path.dirname(SRC), "scripts", "cli_digest.py")
+        spec = importlib.util.spec_from_file_location("cli_digest", path)
+        digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digest)
+        got = digest.digests(quick=True)
+        commands = {f"{group} {name}" for group, name, *_ in cli._COMMANDS}
+        suites = {f"verify {name}" for name in digest.QUICK_SUITES}
+        want = commands | suites | {"realize", "count", "table", "verify all"}
+        assert set(got) == want
+        assert all(len(h) == 64 and int(h, 16) >= 0 for h in got.values())
 
 
 class TestPackage:

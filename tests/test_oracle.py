@@ -1,5 +1,6 @@
 """Brute-force oracles: search, census, scans, and realization tables."""
 
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -107,6 +108,48 @@ class TestSearch:
                 perms.overlap_graph(p)
             ) == oracle_search.cds_sortable_bruteforce(p)
 
+    # Per n: the sortable count and the sha256 of the verdict string ("1" for
+    # sortable) over every permutation in itertools order, from the two
+    # searches written out separately; the swap search on a permutation and
+    # the graph search on its overlap graph gave the same string.
+    PINNED_VERDICTS = {
+        1: (1, "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
+        2: (1, "4a44dc15364204a80fe80e9039455cc1608281820fe2b24f1e5233ade6af1dd5"),
+        3: (4, "e97a44fa6d92742292eb3f4694badacf96540a2f3405f2d57c52fffe9f3c4ee7"),
+        4: (13, "c8f1be1678c9a9368d90d6ca5f938cae50e76ac7118ed2fd3246691d01a6436a"),
+        5: (72, "b7637d6c0d28d9a9282b427ca47648545c55c52457e7372b5e50e0310b36d6a8"),
+        6: (390, "6490002a701b384de52abaf21d37efc5b848be9acef7e1c1c5c3397411afb140"),
+    }
+    # The same for 200 random graphs per n, drawn as below with seed 29.
+    PINNED_GRAPH_VERDICTS = {
+        7: (17, "71d4041c95cab1e37514d77b1aa2e11769e21b192c653ca0730c7fe01db0a50f"),
+        8: (37, "bbc45862c066b1596c7c6fda1adcb007d906bc4cbbb2c78bbf9bb0b74c8bdd8f"),
+    }
+
+    @staticmethod
+    def verdicts(flags) -> tuple[int, str]:
+        text = "".join("01"[flag] for flag in flags)
+        return text.count("1"), hashlib.sha256(text.encode()).hexdigest()
+
+    def test_reachability_walk_matches_the_pinned_verdicts(self):
+        for n, want in self.PINNED_VERDICTS.items():
+            pis = [perms.Permutation(t) for t in permutations(range(1, n + 1))]
+            cds = [oracle_search.cds_sortable_bruteforce(p) for p in pis]
+            gcds = [
+                oracle_search.gcds_sortable_bruteforce(perms.overlap_graph(p))
+                for p in pis
+            ]
+            assert self.verdicts(cds) == want, n
+            assert self.verdicts(gcds) == want, n
+        rng = random.Random(29)
+        for n, want in self.PINNED_GRAPH_VERDICTS.items():
+            flags = []
+            for _ in range(200):
+                edges = [e for e in combinations(range(n), 2) if rng.getrandbits(1)]
+                g = graphs.RootedGraph.from_edges(n, edges)
+                flags.append(oracle_search.gcds_sortable_bruteforce(g))
+            assert self.verdicts(flags) == want, n
+
     def test_size_limits(self):
         with pytest.raises(SizeLimitError):
             oracle_search.cds_sortable_bruteforce(perms.Permutation.identity(9))
@@ -114,6 +157,8 @@ class TestSearch:
             oracle_search.gcds_sortable_bruteforce(graphs.RootedGraph.from_edges(9, []))
         with pytest.raises(SizeLimitError):
             oracle_search.gcds_fixed_point_profile(graphs.RootedGraph.from_edges(9, []))
+        with pytest.raises(SizeLimitError, match="search limited to n <= 8, got 9"):
+            oracle_search.gcds_sortable_search(graphs.RootedGraph.from_edges(9, []))
 
 
 class TestProfile:
