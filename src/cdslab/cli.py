@@ -25,7 +25,7 @@ import sys
 # process loads only what its subcommand needs: count loads none of the
 # three views.
 from . import formats
-from .errors import CdsLabError, ContractError
+from .errors import CdsLabError
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -146,8 +146,6 @@ def _render_table(rows: list[dict[str, object]]) -> str:
 def _cmd_table(args: argparse.Namespace) -> int:
     from . import counting
 
-    if args.max_n < 3:
-        raise ContractError(f"the table starts at n=3, got max-n {args.max_n}")
     counting.check_table_size(args.max_n)
     if args.brute_force:
         from . import oracle

@@ -197,8 +197,11 @@ def check_count_floor(n: int) -> None:
 
 
 def check_table_size(max_n: int) -> None:
-    """Refuse a count table past TABLE_LIMIT before its first row, so a table
-    that cannot finish fails at once."""
+    """Refuse a count table that starts no row (max_n below 3) or runs past
+    TABLE_LIMIT, before its first row, so a table that cannot finish fails
+    at once."""
+    if max_n < 3:
+        raise ContractError(f"the table starts at n=3, got max-n {max_n}")
     if max_n > TABLE_LIMIT:
         raise SizeLimitError(f"table limited to max-n <= {TABLE_LIMIT}, got {max_n}")
 

@@ -39,6 +39,7 @@ __all__ = [
     "check_adjacency",
     "rank",
     "kernel_basis",
+    "span",
     "solve_linear",
     "central_submatrix",
     "mcds",
@@ -321,6 +322,15 @@ def kernel_basis(m: F2Matrix) -> list[int]:
     return basis
 
 
+def span(vectors: Iterable[int]) -> set[int]:
+    """Every XOR of a subset of the vectors, 0 included: their span over
+    GF(2). Dependent and zero vectors add nothing."""
+    out = {0}
+    for v in vectors:
+        out |= {m ^ v for m in out}
+    return out
+
+
 def _solve_mask(rows: Sequence[int], ncols: int, rhs: int) -> int | None:
     # Eliminate on [A | b] with b stored at bit position ncols; a pivot in
     # that extra column means the system is inconsistent.
@@ -399,16 +409,14 @@ def is_mcds_sortable(m: F2Matrix) -> bool:
     and some other starts with 0 and ends with 1.
 
     The projection of the kernel onto the (first, last) coordinate pair is
-    spanned by the projections of any basis, so a basis scan suffices.
+    spanned by the projections of any basis, so one kernel basis suffices;
+    a projection holds the first coordinate in bit 0 and the last in bit 1.
     """
     if not m.is_square or m.nrows < 2:
         raise ContractError("sortability needs a square matrix of size >= 2")
-    n = m.nrows
-    span = {(0, 0)}
-    for mask in kernel_basis(m):
-        a, b = mask & 1, (mask >> (n - 1)) & 1
-        span |= {(a ^ x, b ^ y) for (x, y) in span}
-    return (1, 0) in span and (0, 1) in span
+    last = m.nrows - 1
+    ends = span((v & 1) | ((v >> last) & 1) << 1 for v in kernel_basis(m))
+    return {0b01, 0b10} <= ends
 
 
 def mcds_distance(m: F2Matrix) -> int:

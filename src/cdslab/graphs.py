@@ -162,10 +162,7 @@ def generalized_parity_cuts(g: RootedGraph) -> list[int]:
             f"enumeration limited to n <= {GENERALIZED_CUT_LIMIT}; "
             "use f2.kernel_basis for a compact description"
         )
-    members = {0}
-    for b in f2.kernel_basis(g.adjacency):
-        members |= {m ^ b for m in members}
-    return sorted(members)
+    return sorted(f2.span(f2.kernel_basis(g.adjacency)))
 
 
 def has_property(g: RootedGraph, which: str) -> bool:

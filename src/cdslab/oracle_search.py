@@ -9,10 +9,10 @@ other at small sizes. The bit-sliced census lives in cdslab.oracle, so that
 ``cdslab count --method brute_force`` compiles none of this; the two
 modules share no code.
 
-Each search memoizes by exact state in a table that lives for one call.
-Move relations here strictly shrink an invariant, so the state graph is
-acyclic; a cycle guard raises instead of looping if that ever failed to
-hold.
+Every search is one depth-first walk, memoized by exact state in a table
+that lives for one call. Move relations here strictly shrink an invariant,
+so the state graph is acyclic; the walk's cycle guard raises instead of
+looping if that ever failed to hold.
 """
 from __future__ import annotations
 
@@ -20,9 +20,9 @@ import itertools
 from functools import lru_cache
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Hashable,
-    Iterable,
     Iterator,
     NamedTuple,
     Sequence,
@@ -65,29 +65,28 @@ def _check_search_size(n: int) -> None:
         raise SizeLimitError(f"search limited to n <= {SEARCH_LIMIT}, got {n}")
 
 
-def _reaches(
+def _walk(
     start: Hashable,
-    is_goal: Callable[[Hashable], bool],
-    children: Callable[[Hashable], Iterable[Hashable]],
-) -> bool:
-    """Whether a goal state is reachable from start, by depth-first search
-    memoized by state; children are taken lazily, so the search stops at
-    the first child that reaches a goal."""
-    memo: dict[Hashable, bool] = {}
+    value: Callable[[Any, Callable[[Hashable], Any]], Any],
+) -> Any:
+    """The value of start, by depth-first search memoized by state.
+
+    value(state, walk) computes one state's value, calling walk(child) for
+    each child value it needs, so it can stop at the first child that
+    decides it. Values must not be None.
+    """
+    memo: dict[Hashable, Any] = {}
     path: set[Hashable] = set()
 
-    def walk(state: Hashable) -> bool:
+    def walk(state: Hashable) -> Any:
         cached = memo.get(state)
         if cached is not None:
             return cached
         if state in path:
             raise InternalInvariantError("moves formed a cycle")
-        if is_goal(state):
-            result = True
-        else:
-            path.add(state)
-            result = any(map(walk, children(state)))
-            path.remove(state)
+        path.add(state)
+        result = value(state, walk)
+        path.remove(state)
         memo[state] = result
         return result
 
@@ -161,21 +160,15 @@ def cds_sortable_bruteforce(pi: Permutation) -> bool:
     """Whether the identity is reachable by swap moves; memoized search."""
     _check_search_size(len(pi))
     identity = tuple(range(1, len(pi) + 1))
-    return _reaches(tuple(pi), identity.__eq__, _perm_children)
+    return _walk(
+        tuple(pi),
+        lambda values, walk: values == identity
+        or any(map(walk, _perm_children(values))),
+    )
 
 
 # ---------------------------------------------------------------------------
 # graphs: definitional move application and search
-
-
-def _graph_contexts(rows: tuple[int, ...]) -> list[tuple[int, int]]:
-    n = len(rows)
-    return [
-        (p, q)
-        for p in range(1, n - 1)
-        for q in range(p + 1, n - 1)
-        if (rows[p] >> q) & 1
-    ]
 
 
 def gcds_move(rows: Sequence[int], p: int, q: int) -> tuple[int, ...]:
@@ -205,14 +198,21 @@ def gcds_move(rows: Sequence[int], p: int, q: int) -> tuple[int, ...]:
 
 
 def _graph_children(rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    for p, q in _graph_contexts(rows):
-        yield gcds_move(rows, p, q)
+    """The graph after each move, contexts (p, q) taken in ascending order."""
+    n = len(rows)
+    for p in range(1, n - 1):
+        for q in range(p + 1, n - 1):
+            if (rows[p] >> q) & 1:
+                yield gcds_move(rows, p, q)
 
 
 def gcds_sortable_bruteforce(g: RootedGraph) -> bool:
     """Whether the edgeless graph is reachable by moves; memoized search."""
     _check_search_size(g.n)
-    return _reaches(g.adjacency.rows, lambda rows: not any(rows), _graph_children)
+    return _walk(
+        g.adjacency.rows,
+        lambda rows, walk: not any(rows) or any(map(walk, _graph_children(rows))),
+    )
 
 
 def gcds_sortable_search(g: RootedGraph) -> SearchStats:
@@ -235,29 +235,6 @@ def gcds_sortable_search(g: RootedGraph) -> SearchStats:
     return SearchStats(len(seen), depth, tuple(0 for _ in start) in seen)
 
 
-def _profile(
-    rows: tuple[int, ...], path: set, memo: dict
-) -> frozenset[tuple[int, bool]]:
-    cached = memo.get(rows)
-    if cached is not None:
-        return cached
-    if rows in path:
-        raise InternalInvariantError("graph moves formed a cycle")
-    contexts = _graph_contexts(rows)
-    if not contexts:
-        result = frozenset({(0, not any(rows))})
-    else:
-        path.add(rows)
-        acc = set()
-        for p, q in contexts:
-            for length, edgeless in _profile(gcds_move(rows, p, q), path, memo):
-                acc.add((length + 1, edgeless))
-        path.remove(rows)
-        result = frozenset(acc)
-    memo[rows] = result
-    return result
-
-
 def gcds_fixed_point_profile(g: RootedGraph) -> frozenset[tuple[int, bool]]:
     """All (length, ends-edgeless) pairs over maximal move sequences from g.
 
@@ -266,7 +243,17 @@ def gcds_fixed_point_profile(g: RootedGraph) -> frozenset[tuple[int, bool]]:
     pair; sequence lengths are expected to be an invariant of g.
     """
     _check_search_size(g.n)
-    return _profile(g.adjacency.rows, set(), {})
+
+    def profile(rows, walk):
+        # a child's profile is never empty, so neither is a non-final one
+        pairs = {
+            (length + 1, edgeless)
+            for child in _graph_children(rows)
+            for length, edgeless in walk(child)
+        }
+        return frozenset(pairs or {(0, not any(rows))})
+
+    return _walk(g.adjacency.rows, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +302,9 @@ def graph_rows(
 
 def parity_cuts_bruteforce(
     g: RootedGraph, flavor: str = "two_sided_root_even"
-) -> list[frozenset[int]]:
-    """All vertex subsets passing the flavor's definition, by full scan.
+) -> list[int]:
+    """All vertex subsets passing the flavor's definition, by full scan, as
+    vertex bit masks in ascending order.
 
     Flavors: "generalized" asks that every vertex has an even number of
     neighbors inside the subset; "two_sided_root_even" asks that every
@@ -342,14 +330,14 @@ def parity_cuts_bruteforce(
                 ok = False
                 break
         if ok:
-            out.append(frozenset(v for v in range(n) if (mask >> v) & 1))
+            out.append(mask)
     return out
 
 
 def n0_bruteforce(t: int, r: int) -> int:
     """Count symmetric zero-diagonal t x t matrices of rank r by enumeration."""
-    if t < 0 or r < 0:
-        raise ContractError(f"sizes must be nonnegative, got t={t}, r={r}")
+    if t < 0 or not 0 <= r <= t:
+        raise ContractError(f"rank {r} out of range for size {t}")
     if t > N0_LIMIT:
         raise SizeLimitError(f"enumeration limited to t <= {N0_LIMIT}, got {t}")
     return sum(_rows_rank(rows) == r for rows in graph_rows(t))
@@ -395,6 +383,8 @@ def realizable_bruteforce(m: F2Matrix) -> Permutation | None:
     if not m.is_square:
         raise ContractError(f"move-graph instance must be square, got {m.shape}")
     n, rows = m.nrows, m.rows
+    if not n:
+        raise ContractError("move-graph instance must be non-empty")
     if n + 1 > REALIZE_LIMIT:
         raise SizeLimitError(
             f"realization scan limited to permutations of length <= {REALIZE_LIMIT}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import convergence, convert, counting, f2, formats, graphs, oracle, perms
 from . import oracle_search
@@ -146,17 +146,6 @@ def _all_perms(n: int) -> Iterator[perms.Permutation]:
 
 def _graph(rows: tuple[int, ...]) -> graphs.RootedGraph:
     return graphs.RootedGraph(f2.F2Matrix.from_row_bits(rows, len(rows)))
-
-
-def _span_masks(basis: Iterable[int]) -> set[int]:
-    out = {0}
-    for b in basis:
-        out |= {m ^ b for m in out}
-    return out
-
-
-def _cut_masks(cuts: Iterable[frozenset[int]]) -> set[int]:
-    return {sum(1 << v for v in cut) for cut in cuts}
 
 
 def _random_symmetric_rows(
@@ -522,21 +511,21 @@ def _suite_kernel(max_n: int) -> list[CheckLine]:
     scan_lines, space_lines, swap_lines, root_lines = [], [], [], []
     for n in range(2, gn + 1):
         # one pass: every graph with its kernel (= generalized cut) masks
-        table: dict[tuple[int, ...], tuple[graphs.RootedGraph, set[int]]] = {}
+        table: dict[tuple[int, ...], tuple[graphs.RootedGraph, list[int]]] = {}
         scan_bad = space_bad = root_bad = count = 0
         for rows in oracle_search.graph_rows(n):
             g = _graph(rows)
-            cuts = set(graphs.generalized_parity_cuts(g))
+            cuts = graphs.generalized_parity_cuts(g)
             table[rows] = (g, cuts)
             if n <= 5:
                 scanned = oracle_search.parity_cuts_bruteforce(g, "generalized")
-                scan_bad += cuts != _cut_masks(scanned)
+                scan_bad += cuts != scanned
             if not graphs.is_eulerian(g):
                 continue
             # on even-degree graphs the root-even two-sided cuts are the
             # kernel, and exactly one root placement is feasible
             scanned = oracle_search.parity_cuts_bruteforce(g, "two_sided_root_even")
-            space_bad += cuts != _cut_masks(scanned)
+            space_bad += cuts != scanned
             a = graphs.has_property(g, "a")
             c = graphs.has_property(g, "c")
             root_bad += a == c or a != graphs.is_gcds_sortable(g)
@@ -613,7 +602,7 @@ def _suite_kernel(max_n: int) -> list[CheckLine]:
             # the cycles are disjoint, so their XOR span is their unions
             if any(
                 (r & (full ^ union if (union >> v) & 1 else union)).bit_count() & 1
-                for union in _span_masks(masks)
+                for union in f2.span(masks)
                 for v, r in enumerate(rows)
             ):
                 union_bad += 1
@@ -708,7 +697,7 @@ def _suite_blocks(max_n: int) -> list[CheckLine]:
     for t in range(0, 4):
         for rows in oracle_search.graph_rows(t):
             a = f2.F2Matrix.from_row_bits(rows, t)
-            kernel = _span_masks(f2.kernel_basis(a))
+            kernel = f2.span(f2.kernel_basis(a))
             images = []
             for u in range(1 << t):
                 au = a.mat_vec(u)
@@ -758,7 +747,7 @@ def _suite_blocks(max_n: int) -> list[CheckLine]:
             solvable += 1
             last = adj.column(n - 1)
             full = (1 << (n - 2)) - 1
-            for k in _span_masks(f2.kernel_basis(cc)):
+            for k in f2.span(f2.kernel_basis(cc)):
                 complement_bad += cc.mat_vec(u0 ^ k ^ full) != last
         decomposition.append(
             CheckLine(

@@ -19,6 +19,7 @@ from cdslab.f2 import (
     mcds_distance,
     rank,
     solve_linear,
+    span,
 )
 
 # adjacency matrix of the pointer-interleaving graph of [3, 2, 5, 1, 4]
@@ -112,6 +113,29 @@ class TestElimination:
         for v in basis:
             assert m.mat_vec(v) == 0
         assert kernel_basis(F2Matrix.identity(3)) == []
+
+    def test_span_is_every_subset_xor(self):
+        rng = random.Random(30)
+        bases = [[], [0], [0b101, 0b101], [0b11, 0b110, 0b101, 0]]
+        for _ in range(40):
+            width = rng.randint(1, 9)
+            vectors = [rng.getrandbits(width) for _ in range(rng.randint(1, 7))]
+            # dependent members: a repeat, a zero vector, an XOR of two
+            vectors.append(rng.choice(vectors))
+            vectors.insert(rng.randrange(len(vectors)), 0)
+            vectors.append(vectors[0] ^ vectors[-1])
+            bases.append(vectors)
+        for vectors in bases:
+            want = set()
+            for subset in range(1 << len(vectors)):
+                x = 0
+                for i, v in enumerate(vectors):
+                    if (subset >> i) & 1:
+                        x ^= v
+                want.add(x)
+            assert span(vectors) == want, vectors
+        assert span([]) == {0}
+        assert span(iter([0b01, 0b10])) == {0, 0b01, 0b10, 0b11}
 
     def test_solve(self):
         m = example()

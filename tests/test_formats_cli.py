@@ -537,6 +537,22 @@ class TestVerifyCommand:
                 f"error: table limited to max-n <= 350, got {max_n}\n",
             )
 
+    @pytest.mark.parametrize("command", [["table"], ["verify", "--suite", "table"]])
+    @pytest.mark.parametrize("max_n", ["1", "2"])
+    def test_tables_below_their_floor_fail_at_once(
+        self, command, max_n, capsys, monkeypatch
+    ):
+        def no_count(*args, **kwargs):
+            raise AssertionError("a count was computed")
+
+        for name in ("_closed_formula_terms", "_rank_counts", "count_sortable"):
+            monkeypatch.setattr(counting, name, no_count)
+        assert run([*command, "--max-n", max_n]) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"error: the table starts at n=3, got max-n {max_n}\n",
+        )
+
     def test_convergence_below_its_floor_fails_at_once(self, capsys, monkeypatch):
         def no_terms(*args):
             raise AssertionError("a term was computed")

@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from cdslab import f2, graphs, oracle, oracle_search, perms
+from cdslab import convert, counting, f2, graphs, oracle, oracle_search, perms
 from cdslab.errors import ContractError, SizeLimitError
 from test_formats_cli import fresh_interpreter
 
@@ -175,6 +175,49 @@ class TestProfile:
             profile = oracle_search.gcds_fixed_point_profile(g)
             lengths = {length for length, _ in profile}
             assert lengths == {f2.mcds_distance(g.adjacency)}
+
+
+class TestPinnedAnswers:
+    """Each search and scan, pinned over every graph with n <= 5 and 200
+    seeded graphs at n = 6: the sha256 of one line per graph, as written by
+    the memoized profile and reachability searches with separate cycle
+    guards and by the scan when it returned vertex sets (turned into masks)."""
+
+    PINNED = {
+        "profile": "6f9bed55b5a3a6c9ee0252bde1953d16494b21767550c875add2113d2366b2fb",
+        "verdict": "0bed4a1184832ffbb7a55d7a431ae00ff7d07ce6162ffe87bb02e7bab3a8676d",
+        "two_sided_root_even": (
+            "48ba8ed961850311fde282369c90fe574e54fd4e6f1dd0a9594d7e9fd0a04b14"
+        ),
+        "generalized": (
+            "43a01e9431e3a5c1a223ef080c6adb9d961b904286115a3e0a145da4be377065"
+        ),
+    }
+
+    @staticmethod
+    def pinned_graphs():
+        for n in range(2, 6):
+            for rows in oracle_search.graph_rows(n):
+                yield graphs.RootedGraph(f2.F2Matrix.from_row_bits(rows, n))
+        rng = random.Random(30)
+        for _ in range(200):
+            edges = [e for e in combinations(range(6), 2) if rng.getrandbits(1)]
+            yield graphs.RootedGraph.from_edges(6, edges)
+
+    def test_answers_match_the_pinned_hashes(self):
+        lines: dict[str, list[str]] = {name: [] for name in self.PINNED}
+        for g in self.pinned_graphs():
+            profile = oracle_search.gcds_fixed_point_profile(g)
+            lines["profile"].append(repr(sorted(profile)))
+            lines["verdict"].append("01"[oracle_search.gcds_sortable_bruteforce(g)])
+            for flavor in ("two_sided_root_even", "generalized"):
+                cuts = oracle_search.parity_cuts_bruteforce(g, flavor)
+                assert cuts == sorted(cuts) and all(type(c) is int for c in cuts)
+                lines[flavor].append(repr(cuts))
+        for name, want in self.PINNED.items():
+            assert len(lines[name]) == 1298, name
+            digest = hashlib.sha256("\n".join(lines[name]).encode()).hexdigest()
+            assert digest == want, name
 
 
 class TestCensus:
@@ -368,6 +411,30 @@ class TestRealization:
             oracle_search.realizable_bruteforce(f2.F2Matrix.zeros(6, 6))
 
 
+class TestDomains:
+    # (oracle call, analytic call) on one input outside the domain
+    PAIRS = [
+        (
+            lambda: oracle_search.realizable_bruteforce(f2.F2Matrix.zeros(0, 0)),
+            lambda: convert.realize_move_graph(f2.F2Matrix.zeros(0, 0)),
+        ),
+        (
+            lambda: oracle_search.n0_bruteforce(3, 5),
+            lambda: counting.macwilliams_count(3, 5),
+        ),
+        (
+            lambda: oracle_search.n0_bruteforce(3, -1),
+            lambda: counting.macwilliams_count(3, -1),
+        ),
+    ]
+
+    @pytest.mark.parametrize("pair", range(len(PAIRS)))
+    def test_both_sides_refuse_the_same_inputs(self, pair):
+        for call in self.PAIRS[pair]:
+            with pytest.raises(ContractError):
+                call()
+
+
 class TestIndependence:
     def test_import_loads_no_analytic_module(self):
         code = (
@@ -412,10 +479,10 @@ class TestIndependence:
         assert oracle_search.gcds_sortable_search(tri).result is True
         assert oracle_search.gcds_fixed_point_profile(og) == {(1, False)}
         assert oracle_search.parity_cuts_bruteforce(og) == [
-            frozenset(),
-            frozenset({1, 3}),
-            frozenset({0, 2, 4, 5}),
-            frozenset(range(6)),
+            0,
+            0b001010,
+            0b110101,
+            0b111111,
         ]
         assert oracle_search.n0_bruteforce(4, 2) == 35
         assert oracle_search.move_graph_bruteforce(EXAMPLE) == moves
