@@ -99,6 +99,11 @@ def corpus(quick: bool) -> list[tuple[str, list[str]]]:
         bad = bad_mats if cmd == "check" else pick(bad_mats)
         for g in graphs + bad_graphs + mats + bad:
             calls.append((f"graph {cmd}", ["graph", cmd, g]))
+    if not quick:
+        # 2000 vertices with no edge, then with one edge joining the roots:
+        # eliminations where nearly every column has no pivot
+        for g in ("2000 1 2\n", "2000 1 2\n1 2\n"):
+            calls += [(f"graph {cmd}", ["graph", cmd, g]) for cmd in ("check", "props")]
     for m in graphs[:1] + mats + bad_mats[:3]:
         for group, cmd in (("graph", "gcds"), ("matrix", "mcds")):
             calls += [(f"{group} {cmd}", [group, cmd, m, p, q]) for p, q in pairs]

@@ -21,11 +21,12 @@ operation, rather than one bit per Python step:
   one needs at most one 1024 * 1024 tile (128 KB) per band beyond that.
   The masks of every tile side, 8 to 1024, are kept, under 2 MB in all.
 - `rank` runs only the forward pass of Gaussian elimination, which clears
-  each pivot column below its pivot row. `kernel_basis` and `solve_linear`
-  share that pass and add back-substitution, giving the reduced row echelon
-  form. The pivot order is the same as in full elimination, and the reduced
-  form is unique, so kernel bases and solutions are those of full
-  elimination bit for bit.
+  each pivot column below its pivot row and steps over each run of columns
+  without a pivot in one jump. `kernel_basis` and `solve_linear` share that
+  pass and add back-substitution, giving the reduced row echelon form.
+  The pivot order is the same as in full elimination, and the reduced form
+  is unique, so kernel bases and solutions are those of full elimination
+  bit for bit.
 """
 from __future__ import annotations
 
@@ -261,19 +262,28 @@ def _forward(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]:
     Pivots are chosen as the first nonzero column scanning left to right, rows
     scanned top down, so the result is deterministic. Only the rows below a
     pivot are cleared; the returned rows are the nonzero ones, in pivot order.
+
+    The rows not yet used as pivots have no bit below the current column, so
+    after a column without a pivot the pass jumps to the lowest bit of their
+    OR, and a sparse or low-rank matrix costs O(rank) scans, not O(ncols).
     """
     pivots: list[int] = []
     work = list(rows)
     n = len(work)
     r = 0
-    for col in range(ncols):
-        if r == n:
-            break
+    col = 0
+    while col < ncols and r < n:
         bit = 1 << col
         for i in range(r, n):
             if work[i] & bit:
                 break
         else:
+            rest = 0
+            for k in range(r, n):
+                rest |= work[k]
+            if not rest:
+                break
+            col = (rest & -rest).bit_length() - 1
             continue
         pivot = work[i]
         work[i] = work[r]
@@ -283,6 +293,7 @@ def _forward(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]:
             if work[k] & bit:
                 work[k] ^= pivot
         pivots.append(col)
+        col += 1
     return pivots, work[:r]
 
 

@@ -18,15 +18,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Hashable,
-    Iterator,
-    NamedTuple,
-    Sequence,
-)
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator, Sequence
 
 from .errors import ContractError, InternalInvariantError, SizeLimitError
 
@@ -38,12 +30,10 @@ if TYPE_CHECKING:
     from .perms import Permutation
 
 __all__ = [
-    "SearchStats",
     "cds_move",
     "gcds_move",
     "cds_sortable_bruteforce",
     "gcds_sortable_bruteforce",
-    "gcds_sortable_search",
     "gcds_fixed_point_profile",
     "graph_rows",
     "parity_cuts_bruteforce",
@@ -91,14 +81,6 @@ def _walk(
         return result
 
     return walk(start)
-
-
-class SearchStats(NamedTuple):
-    """Exhaustive-search outcome with its size telemetry."""
-
-    states_visited: int
-    max_depth: int
-    result: bool | int
 
 
 # ---------------------------------------------------------------------------
@@ -213,26 +195,6 @@ def gcds_sortable_bruteforce(g: RootedGraph) -> bool:
         g.adjacency.rows,
         lambda rows, walk: not any(rows) or any(map(walk, _graph_children(rows))),
     )
-
-
-def gcds_sortable_search(g: RootedGraph) -> SearchStats:
-    """Breadth-first exploration of every graph reachable by moves."""
-    _check_search_size(g.n)
-    start = g.adjacency.rows
-    seen = {start}
-    frontier = [start]
-    depth = 0
-    while frontier:
-        nxt = []
-        for rows in frontier:
-            for child in _graph_children(rows):
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        if nxt:
-            depth += 1
-        frontier = nxt
-    return SearchStats(len(seen), depth, tuple(0 for _ in start) in seen)
 
 
 def gcds_fixed_point_profile(g: RootedGraph) -> frozenset[tuple[int, bool]]:

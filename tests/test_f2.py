@@ -359,6 +359,7 @@ class TestWordParallelKernels:
 
     def test_seeded_shapes_up_to_300(self):
         rng = random.Random(14)
+        sparse_rng = random.Random(31)
         shapes = [(1, 1), (1, 300), (300, 1), (2, 3), (7, 9), (8, 8), (9, 7)]
         shapes += [(16, 17), (33, 31), (64, 64), (65, 100), (100, 65)]
         shapes += [(127, 128), (129, 255), (255, 129), (200, 300), (300, 300)]
@@ -381,6 +382,21 @@ class TestWordParallelKernels:
             dense = [rng.getrandbits(ncols) for _ in range(nrows)]
             t = F2Matrix.from_row_bits(dense, ncols).transpose()
             assert list(t.rows) == reference_transpose(dense, ncols)
+            # sparse: rows confined to a few columns, a quarter of them zero,
+            # so most columns have no pivot; drawn from their own generator,
+            # which leaves the inputs above as they were
+            cols = sparse_rng.sample(range(ncols), max(1, ncols // 10))
+            sparse = [
+                0
+                if sparse_rng.random() < 0.25
+                else sum(sparse_rng.getrandbits(1) << c for c in cols)
+                for _ in range(nrows)
+            ]
+            solvable = F2Matrix.from_row_bits(sparse, ncols).mat_vec(
+                sparse_rng.getrandbits(ncols)
+            )
+            rhs_values = [solvable, sparse_rng.getrandbits(nrows)]
+            assert_matches_references(sparse, ncols, rhs_values)
 
     @pytest.mark.parametrize("n", [1000, 3000])
     def test_large_transpose_by_its_own_rules(self, n):
@@ -433,3 +449,19 @@ class TestWordParallelKernels:
         # column j of the row texts, read back as a row
         text = [format(r, f"0{ncols}b")[::-1] for r in rows]
         assert list(t.rows) == [int("".join(col)[::-1], 2) for col in zip(*text)]
+
+    def test_elimination_skips_columns_without_a_pivot(self):
+        # each call eliminates a 10,000-column system of rank at most 2;
+        # scanning every column without a pivot takes seconds per call
+        n = 10_000
+        edgeless = graphs.RootedGraph.from_edges(n, [])
+        roots_joined = graphs.RootedGraph.from_edges(n, [(0, n - 1)])
+        start = time.perf_counter()
+        answers = (
+            graphs.is_gcds_sortable(edgeless),
+            mcds_distance(edgeless.adjacency),
+            graphs.has_property(edgeless, "a"),
+            graphs.is_gcds_sortable(roots_joined),
+        )
+        assert time.perf_counter() - start < 2.0
+        assert answers == (True, 0, True, False)

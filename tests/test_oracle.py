@@ -94,13 +94,6 @@ class TestSearch:
                 want = perms.is_cds_sortable(p)
                 assert oracle_search.cds_sortable_bruteforce(p) == want
 
-    def test_search_stats(self):
-        sortable = oracle_search.gcds_sortable_search(triangle())
-        assert sortable.result is True
-        assert sortable.max_depth >= 1
-        with pytest.raises(AttributeError):
-            sortable.result = False
-
     def test_graph_search_matches_permutation_search(self):
         for tup in permutations(range(1, 5)):
             p = perms.Permutation(tup)
@@ -155,10 +148,8 @@ class TestSearch:
             oracle_search.cds_sortable_bruteforce(perms.Permutation.identity(9))
         with pytest.raises(SizeLimitError):
             oracle_search.gcds_sortable_bruteforce(graphs.RootedGraph.from_edges(9, []))
-        with pytest.raises(SizeLimitError):
-            oracle_search.gcds_fixed_point_profile(graphs.RootedGraph.from_edges(9, []))
         with pytest.raises(SizeLimitError, match="search limited to n <= 8, got 9"):
-            oracle_search.gcds_sortable_search(graphs.RootedGraph.from_edges(9, []))
+            oracle_search.gcds_fixed_point_profile(graphs.RootedGraph.from_edges(9, []))
 
 
 class TestProfile:
@@ -453,7 +444,6 @@ class TestIndependence:
     def test_entry_points_run_without_the_f2_kernels(self, monkeypatch):
         # the inputs are built first: RootedGraph checks symmetry with f2
         og = perms.overlap_graph(EXAMPLE)
-        tri = triangle()
         moves = perms.move_graph(EXAMPLE)
         path = f2.F2Matrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
         star = f2.F2Matrix([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
@@ -476,7 +466,6 @@ class TestIndependence:
         assert oracle.census_bruteforce(5) == 113
         assert not oracle_search.cds_sortable_bruteforce(EXAMPLE)
         assert not oracle_search.gcds_sortable_bruteforce(og)
-        assert oracle_search.gcds_sortable_search(tri).result is True
         assert oracle_search.gcds_fixed_point_profile(og) == {(1, False)}
         assert oracle_search.parity_cuts_bruteforce(og) == [
             0,
