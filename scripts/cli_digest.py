@@ -84,7 +84,11 @@ def corpus(quick: bool) -> list[tuple[str, list[str]]]:
     mats += pick(["0110\n1010\n1100\n0000\n", "01\n10\n"])
     # non-square, asymmetric, looped, 1 x 1, ragged, not 0/1, empty
     bad_mats = ["0110\n", "01\n00\n", "10\n00\n", "1\n", "0\n", "01\n1\n", "012\n", ""]
-    graphs = pick(["4 1 4\n2 3\n2 4\n3 4\n", "5 2 5\n1 2\n2 3\n3 4\n", "2 1 2\n"])
+    # after the quick entries: an empty center with the roots joined, whose
+    # answer rests on the root-root entry alone, and a root column outside
+    # the center's column space
+    graphs = ["4 1 4\n2 3\n2 4\n3 4\n", "5 2 5\n1 2\n2 3\n3 4\n", "2 1 2\n"]
+    graphs = pick(graphs + ["2 1 2\n1 2\n", "3 1 3\n1 2\n"])
     bad_graphs = ["3 1 3\n1 1\n", "3 1 3\n1 2\n1 2\n", "3 1 4\n", "x y z\n", "3 1\n"]
     bad_graphs = pick(bad_graphs)
     pairs = [("2", "3"), ("1", "2"), ("0", "2"), ("2", "9"), ("2", "2"), ("3", "4")]

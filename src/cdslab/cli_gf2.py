@@ -38,11 +38,10 @@ def _graph_payload(command: str, g: graphs.RootedGraph) -> dict[str, object]:
 
 
 def _cmd_graph_check(args: argparse.Namespace) -> int:
-    from . import f2, graphs
+    from . import graphs
 
     g = formats.parse_graph(_read_text(args.data))
-    sortable = graphs.is_gcds_sortable(g)
-    dist = f2.mcds_distance(g.adjacency)
+    sortable, dist = graphs.sortability(g)
     text = f"{'SORTABLE' if sortable else 'UNSORTABLE'} distance={dist}"
     _emit(
         args,
@@ -109,12 +108,8 @@ def _cmd_graph_props(args: argparse.Namespace) -> int:
     from . import graphs
 
     g = formats.parse_graph(_read_text(args.data))
-    flags = {
-        "eulerian": graphs.is_eulerian(g),
-        "a": graphs.has_property(g, "a"),
-        "b": graphs.has_property(g, "b"),
-        "c": graphs.has_property(g, "c"),
-    }
+    placement = graphs.root_placement(g)
+    flags = {"eulerian": graphs.is_eulerian(g), **{w: placement == w for w in "abc"}}
     text = " ".join(f"{k}={'yes' if v else 'no'}" for k, v in flags.items())
     _emit(args, text, {"command": "graph.props", "n": g.n, **flags})
     return 0

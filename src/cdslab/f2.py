@@ -26,10 +26,12 @@ operation, rather than one bit per Python step:
   pass and add back-substitution, giving the reduced row echelon form.
   The pivot order is the same as in full elimination, and the reduced form
   is unique, so kernel bases and solutions are those of full elimination
-  bit for bit.
+  bit for bit. One pass on a graph's center beside its two root columns
+  decides sortability and gives the distance (`_sortability`).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -415,35 +417,57 @@ def mcds(m: F2Matrix, p: int, q: int) -> F2Matrix:
     return F2Matrix.from_row_bits(out, n)
 
 
-def is_mcds_sortable(m: F2Matrix) -> bool:
-    """Kernel criterion: some kernel vector starts with 1 and ends with 0,
-    and some other starts with 0 and ends with 1.
+def _sortability(rows: Sequence[int]) -> tuple[bool, int]:
+    """(sortable, distance) of a two-rooted graph from its adjacency rows,
+    which must meet the adjacency contract, by one elimination of the center.
 
-    The projection of the kernel onto the (first, last) coordinate pair is
-    spanned by the projections of any basis, so one kernel basis suffices;
-    a projection holds the first coordinate in bit 0 and the last in bit 1.
+    Let C be the center on the t = n - 2 non-root vertices, r0 and r1 the
+    root rows restricted to it and e the root-root entry. A kernel vector
+    (1, u, 0) needs C u = r0 and r1.u = e (its row 0, r0.u = uCu = 0, holds
+    as C is alternating). A kernel vector (0, v, 1) needs C v = r1 and
+    r0.v = vCu = r1.u = e, the same condition, and a kernel vector k of C
+    changes r1.u by vCk = 0. So the graph is sortable iff r0 and r1 lie in
+    col(C) and r1.u = e; its distance is rank(C)/2. One forward pass on
+    [C | r0 | r1] counts rank(C) in the pivots below column t; a pivot at t
+    or t + 1 puts a root column outside col(C), and otherwise column t,
+    back-substituted, gives u. An odd rank is a bug: InternalInvariantError.
     """
-    if not m.is_square or m.nrows < 2:
-        raise ContractError("sortability needs a square matrix of size >= 2")
-    last = m.nrows - 1
-    ends = span((v & 1) | ((v >> last) & 1) << 1 for v in kernel_basis(m))
-    return {0b01, 0b10} <= ends
+    n = len(rows)
+    t, last = n - 2, n - 1
+    inner = (1 << last) - 2  # the center's columns 1 .. n-2
+    aug = [
+        (r & inner) >> 1 | (r & 1) << t | (r >> last & 1) << (t + 1)
+        for r in rows[1:last]
+    ]
+    pivots, red = _forward(aug, t + 2)
+    rank_c = bisect_left(pivots, t)
+    if rank_c % 2:
+        raise InternalInvariantError(
+            f"central rank {rank_c} is odd for a symmetric zero-diagonal matrix"
+        )
+    if rank_c < len(pivots):
+        return False, rank_c // 2
+    # u with its free coordinates 0, from the bottom pivot row up
+    u = 0
+    for p, row in zip(reversed(pivots), reversed(red)):
+        u |= (((row >> t) ^ (row & u).bit_count()) & 1) << p
+    r1 = (rows[last] & inner) >> 1
+    return (r1 & u).bit_count() & 1 == rows[0] >> last & 1, rank_c // 2
+
+
+def is_mcds_sortable(m: F2Matrix) -> bool:
+    """Whether the two-rooted graph with adjacency m (roots first and last)
+    swaps to edgeless; m must be an adjacency matrix of size >= 2."""
+    check_adjacency(m, "matrix")
+    if m.nrows < 2:
+        raise ContractError(f"sortability needs size >= 2, got {m.nrows}")
+    return _sortability(m.rows)[0]
 
 
 def mcds_distance(m: F2Matrix) -> int:
     """Number of swaps needed to sort: half the rank of the central part.
-
-    Requires a symmetric, zero-diagonal square matrix of size >= 2. The
-    central rank of such a matrix is always even; an odd value indicates a
-    bug and raises InternalInvariantError.
-    """
+    m must be an adjacency matrix of size >= 2; see _sortability."""
     check_adjacency(m, "matrix")
     if m.nrows < 2:
         raise ContractError(f"distance needs size >= 2, got {m.nrows}")
-    r = rank(central_submatrix(m, "both"))
-    if r % 2:
-        raise InternalInvariantError(
-            f"central rank {r} is odd for a symmetric zero-diagonal matrix"
-        )
-    return r // 2
-
+    return _sortability(m.rows)[1]

@@ -15,8 +15,10 @@ __all__ = [
     "gcds",
     "context_pairs",
     "is_eulerian",
+    "sortability",
     "is_gcds_sortable",
     "generalized_parity_cuts",
+    "root_placement",
     "has_property",
 ]
 
@@ -144,10 +146,16 @@ def is_eulerian(g: RootedGraph) -> bool:
     return g.adjacency.is_eulerian_rows()
 
 
+def sortability(g: RootedGraph) -> tuple[bool, int]:
+    """(sortable, distance) of g, from one elimination of its center (see
+    f2._sortability); the distance is half the center's rank."""
+    return f2._sortability(g.adjacency.rows)
+
+
 def is_gcds_sortable(g: RootedGraph) -> bool:
     """Kernel criterion: the kernel of the adjacency matrix must contain a
     vector picking up root 0 but not root n-1, and one the other way round."""
-    return f2.is_mcds_sortable(g.adjacency)
+    return sortability(g)[0]
 
 
 def generalized_parity_cuts(g: RootedGraph) -> list[int]:
@@ -165,38 +173,33 @@ def generalized_parity_cuts(g: RootedGraph) -> list[int]:
     return sorted(f2.span(f2.kernel_basis(g.adjacency)))
 
 
-def has_property(g: RootedGraph, which: str) -> bool:
-    """Feasibility of the three root-placement properties.
+def root_placement(g: RootedGraph) -> str:
+    """The one root-placement property that holds for g: "a", "b" or "c".
 
     a: some partition with even cross-degree everywhere separates the roots.
-    b: some partition with even cross-degree at non-roots and odd cross-degree
-       at both roots separates the roots.
-    c: some partition with even cross-degree at non-roots and odd cross-degree
-       at both roots keeps the roots together.
+    b, c: some partition with even cross-degree at non-roots and odd at both
+       roots separates the roots (b) or keeps them together (c).
 
-    Each reduces to an affine linear system over GF(2): the cross-degree
-    parity of vertex v for a subset x is ((A + D) x)_v with D = diag(deg mod 2).
+    The cross-degree parities of a subset x are M x, with M = A + D and
+    D = diag(deg mod 2). Let s = e_0 + e_{n-1} and f(x) = s . x, which is 1
+    when x separates the roots. Each row of M has even weight, so the
+    all-ones vector lies in K = ker M, and adding it to x keeps M x and f(x).
+    So a says that f is not zero on K, and b and c say that M x = s has a
+    solution with f(x) = 1 or f(x) = 0. M is symmetric, so im M = K^perp. If
+    a holds, s is not in im M and neither b nor c holds. Otherwise s is in
+    im M, f is constant on the solutions x* + K, and f(x*) picks b or c.
     """
+    n = g.n
+    # row v of M: the adjacency row with the degree parity on the diagonal
+    rows = [r | (r.bit_count() & 1) << v for v, r in enumerate(g.adjacency.rows)]
+    x = f2._solve_mask(rows, n, 1 | 1 << (n - 1))
+    if x is None:
+        return "a"
+    return "b" if (x ^ x >> (n - 1)) & 1 else "c"
+
+
+def has_property(g: RootedGraph, which: str) -> bool:
+    """Whether the root-placement property which holds; see root_placement."""
     if which not in ("a", "b", "c"):
         raise ContractError(f"unknown property {which!r}")
-    n = g.n
-    # Row v of (A + D): the adjacency row with the degree parity on the
-    # diagonal (the diagonal of A itself is zero).
-    sys_rows = [
-        r | ((r.bit_count() & 1) << v) for v, r in enumerate(g.adjacency.rows)
-    ]
-    r1, r2 = 0, n - 1
-    rhs = 0
-    if which in ("b", "c"):
-        rhs |= (1 << r1) | (1 << r2)
-    # Pin the root coordinates with two extra unit-row equations.
-    pin_rows = [1 << r1, 1 << r2]
-    pin_rhs_bits = {
-        "a": (1, 0),
-        "b": (1, 0),
-        "c": (1, 1),
-    }[which]
-    all_rows = sys_rows + pin_rows
-    full_rhs = rhs | (pin_rhs_bits[0] << n) | (pin_rhs_bits[1] << (n + 1))
-    sol = f2._solve_mask(all_rows, n, full_rhs)
-    return sol is not None
+    return root_placement(g) == which

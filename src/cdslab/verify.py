@@ -396,7 +396,7 @@ def _suite_distance(max_n: int) -> list[CheckLine]:
     # These lines also bound the depth of every search from g. The move
     # relation is acyclic, so a graph reached in d moves lies on a sequence
     # of length d, which extends to a maximal one of length at least d. Each
-    # line below pins every maximal length to mcds_distance(g), and each
+    # line below pins every maximal length to the distance of g, and each
     # move isolates two non-root vertices, so that length is at most
     # (n - 2)/2 <= n // 2.
     out = []
@@ -404,8 +404,7 @@ def _suite_distance(max_n: int) -> list[CheckLine]:
         count = bad = sortable_count = 0
         for rows in oracle_search.graph_rows(n):
             g = _graph(rows)
-            dist = f2.mcds_distance(g.adjacency)
-            sortable = graphs.is_gcds_sortable(g)
+            sortable, dist = graphs.sortability(g)
             profile = oracle_search.gcds_fixed_point_profile(g)
             lengths = {length for length, _ in profile}
             ends = {edgeless for _, edgeless in profile}
@@ -527,9 +526,8 @@ def _suite_kernel(max_n: int) -> list[CheckLine]:
             # kernel, and exactly one root placement is feasible
             scanned = oracle_search.parity_cuts_bruteforce(g, "two_sided_root_even")
             space_bad += cuts != scanned
-            a = graphs.has_property(g, "a")
-            c = graphs.has_property(g, "c")
-            root_bad += a == c or a != graphs.is_gcds_sortable(g)
+            sortable = graphs.is_gcds_sortable(g)
+            root_bad += graphs.root_placement(g) != ("a" if sortable else "c")
             count += 1
         if n <= 5:
             scan_lines.append(

@@ -4,6 +4,7 @@ import functools
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -210,6 +211,9 @@ class TestMcds:
     def test_distance_needs_two_vertices(self):
         with pytest.raises(ContractError, match=r"^distance needs size >= 2, got 1$"):
             mcds_distance(F2Matrix([[0]]))
+        floor = r"^sortability needs size >= 2, got 1$"
+        with pytest.raises(ContractError, match=floor):
+            is_mcds_sortable(F2Matrix([[0]]))
 
 
 # Each entry point that takes an adjacency matrix, with the noun its errors use.
@@ -220,6 +224,7 @@ ADJACENCY_ENTRY_POINTS = (
     (convert.adjacency_to_precedence, "adjacency"),
     (convert.realize_move_graph, "move graph"),
     (mcds_distance, "matrix"),
+    (is_mcds_sortable, "matrix"),
 )
 # a matrix that breaks the contract, and the first property it fails
 BROKEN_ADJACENCIES = (
@@ -236,6 +241,17 @@ BROKEN_ADJACENCIES = (
 def test_adjacency_contract_names_the_noun_and_first_failure(call, noun, m, failure):
     with pytest.raises(ContractError, match=f"^{re.escape(f'{noun} {failure}')}$"):
         call(m)
+
+
+@functools.lru_cache(maxsize=None)
+def sparse_graphs():
+    """The edgeless graph on 10,000 vertices, then the same with its roots
+    joined."""
+    n = 10_000
+    return (
+        graphs.RootedGraph.from_edges(n, []),
+        graphs.RootedGraph.from_edges(n, [(0, n - 1)]),
+    )
 
 
 # The per-bit kernels that the word-parallel ones replaced, kept as references.
@@ -453,9 +469,7 @@ class TestWordParallelKernels:
     def test_elimination_skips_columns_without_a_pivot(self):
         # each call eliminates a 10,000-column system of rank at most 2;
         # scanning every column without a pivot takes seconds per call
-        n = 10_000
-        edgeless = graphs.RootedGraph.from_edges(n, [])
-        roots_joined = graphs.RootedGraph.from_edges(n, [(0, n - 1)])
+        edgeless, roots_joined = sparse_graphs()
         start = time.perf_counter()
         answers = (
             graphs.is_gcds_sortable(edgeless),
@@ -465,3 +479,16 @@ class TestWordParallelKernels:
         )
         assert time.perf_counter() - start < 2.0
         assert answers == (True, 0, True, False)
+
+    def test_graph_decisions_keep_no_kernel_basis(self):
+        # one solve of the center, or of (A + D) x = b, holds a few ints per
+        # row; a kernel basis of the adjacency holds one per free column
+        for g, want in zip(sparse_graphs(), [((True, 0), "a"), ((False, 0), "b")]):
+            tracemalloc.start()
+            try:
+                got = (graphs.sortability(g), graphs.root_placement(g))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want
+            assert peak < 1 << 20, peak

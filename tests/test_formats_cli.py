@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import cdslab
-from cdslab import cli, counting, f2, formats, oracle, perms, verify
+from cdslab import cli, counting, f2, formats, graphs, oracle, perms, verify
 from cdslab.cli import run
 from cdslab.errors import ContractError
 from cdslab.graphs import RootedGraph
@@ -267,6 +267,21 @@ class TestGraphCommands:
     def test_props(self, capsys):
         assert run(["graph", "props", self.GRAPH]) == 0
         assert capsys.readouterr().out.strip() == "eulerian=yes a=yes b=no c=no"
+
+    @pytest.mark.parametrize("command", ["check", "props"])
+    def test_one_elimination_and_one_contract_check(self, capsys, monkeypatch, command):
+        calls = {"_forward": 0, "check_adjacency": 0}
+        for name in calls:
+            wrapped = getattr(f2, name)
+
+            def counted(*args, name=name, wrapped=wrapped):
+                calls[name] += 1
+                return wrapped(*args)
+
+            monkeypatch.setattr(f2, name, counted)
+        assert run(["graph", command, self.GRAPH]) == 0
+        capsys.readouterr()
+        assert calls == {"_forward": 1, "check_adjacency": 1}
 
 
 class TestMatrixCommands:
@@ -662,8 +677,13 @@ class TestVerifyCommand:
         # a search reaching past the distance is what the maximal-sequence
         # lines rule out, so a distance one short must fail them, from the
         # first n with a move (n = 4)
-        distance = f2.mcds_distance
-        monkeypatch.setattr(f2, "mcds_distance", lambda m: max(distance(m) - 1, 0))
+        sortability = graphs.sortability
+
+        def one_short(g):
+            sortable, distance = sortability(g)
+            return sortable, max(distance - 1, 0)
+
+        monkeypatch.setattr(graphs, "sortability", one_short)
         report = verify.run_suite("distance", max_n=4)
         got = [(c.name, c.passed) for c in report.checks]
         assert got == [

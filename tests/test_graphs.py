@@ -1,10 +1,10 @@
 """Two-rooted graphs, the graph swap move, parity cuts, and properties."""
 
-from itertools import combinations
+import random
 
 import pytest
 
-from cdslab import f2, oracle_search, perms
+from cdslab import counting, f2, oracle_search, perms
 from cdslab.errors import ContractError, InvalidMoveError, SizeLimitError
 from cdslab.graphs import (
     RootedGraph,
@@ -14,6 +14,8 @@ from cdslab.graphs import (
     has_property,
     is_eulerian,
     is_gcds_sortable,
+    root_placement,
+    sortability,
 )
 
 
@@ -27,11 +29,54 @@ def example_graph() -> RootedGraph:
 
 
 def all_graphs(n: int):
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield RootedGraph.from_edges(
-            n, [e for k, e in enumerate(pairs) if (mask >> k) & 1]
-        )
+    """Every graph on n vertices, in edge-mask order."""
+    for rows in oracle_search.graph_rows(n):
+        yield RootedGraph(f2.F2Matrix.from_row_bits(rows, n))
+
+
+def reference_decision(m: f2.F2Matrix) -> tuple[bool, int]:
+    """The kernel criterion on a kernel basis and half the center's rank,
+    as two separate eliminations decided them before the center solve."""
+    last = m.nrows - 1
+    ends = f2.span((v & 1) | ((v >> last) & 1) << 1 for v in f2.kernel_basis(m))
+    return {0b01, 0b10} <= ends, f2.rank(f2.central_submatrix(m, "both")) // 2
+
+
+def reference_has_property(g: RootedGraph, which: str) -> bool:
+    """Each root-placement property by its own solve, with the root
+    coordinates pinned by two extra unit rows, as before root_placement."""
+    n = g.n
+    rows = [r | ((r.bit_count() & 1) << v) for v, r in enumerate(g.adjacency.rows)]
+    rhs = 0 if which == "a" else 1 | 1 << (n - 1)
+    first, last = {"a": (1, 0), "b": (1, 0), "c": (1, 1)}[which]
+    rhs |= first << n | last << (n + 1)
+    return f2._solve_mask(rows + [1, 1 << (n - 1)], n, rhs) is not None
+
+
+def seeded_branches(n: int, seed: int) -> dict[str, f2.F2Matrix]:
+    """Three graphs on n vertices around one center of rank at most 20: a
+    sortable one from block_construct, the same with its root-root entry
+    flipped, and one whose root 0 column is random, so outside col(C)."""
+    rng = random.Random(seed)
+    t = n - 2
+    center = [0] * t
+    for _ in range(10):
+        x, y = rng.getrandbits(t), rng.getrandbits(t)
+        for i in range(t):
+            center[i] ^= (x >> i & 1) * y ^ (y >> i & 1) * x
+    c = f2.F2Matrix.from_row_bits(center, t)
+    u1, u2 = rng.getrandbits(t), rng.getrandbits(t)
+    rows = list(counting.block_construct(c, u1, u2).rows)
+    flipped = [rows[0] ^ 1 << (n - 1)] + rows[1:-1] + [rows[-1] ^ 1]
+    r0 = rng.getrandbits(t)
+    assert f2.solve_linear(c, r0) is None
+    outside = [r0 << 1 | rows[0] & 1 << (n - 1)]
+    outside += [r & ~1 | (r0 >> i & 1) for i, r in enumerate(rows[1:-1])]
+    outside.append(rows[-1])
+    return {
+        name: f2.F2Matrix.from_row_bits(r, n)
+        for name, r in (("sortable", rows), ("parity", flipped), ("outside", outside))
+    }
 
 
 class TestRootedGraph:
@@ -117,6 +162,24 @@ class TestSortability:
         for g in all_graphs(4):
             assert is_gcds_sortable(g) == oracle_search.gcds_sortable_bruteforce(g)
 
+    def test_every_small_graph_matches_the_kernel_reference(self):
+        for n in range(2, 7):
+            for g in all_graphs(n):
+                want = reference_decision(g.adjacency)
+                assert sortability(g) == want, g
+                assert f2.is_mcds_sortable(g.adjacency) == want[0], g
+                assert f2.mcds_distance(g.adjacency) == want[1], g
+
+    @pytest.mark.parametrize("n,seed", [(400, 36), (1000, 37)])
+    def test_seeded_branches_match_the_kernel_reference(self, n, seed):
+        got = {}
+        for name, m in seeded_branches(n, seed).items():
+            got[name] = sortability(RootedGraph(m))
+            assert got[name] == reference_decision(m), name
+            assert (f2.is_mcds_sortable(m), f2.mcds_distance(m)) == got[name], name
+        assert [s for s, _ in got.values()] == [True, False, False]
+        assert 0 < got["sortable"][1] == got["parity"][1] <= 10
+
     def test_eulerian(self):
         assert is_eulerian(triangle())
         assert is_eulerian(example_graph())
@@ -183,3 +246,13 @@ class TestProperties:
             a = has_property(g, "a")
             assert a != has_property(g, "c")
             assert a == is_gcds_sortable(g)
+
+    def test_placement_matches_one_solve_per_property(self):
+        # exactly one of the three holds on every graph, and it is the one
+        # that root_placement names
+        for n in range(3, 6):
+            for g in all_graphs(n):
+                want = [reference_has_property(g, w) for w in "abc"]
+                assert sum(want) == 1, g
+                assert want == [root_placement(g) == w for w in "abc"], g
+                assert want == [has_property(g, w) for w in "abc"], g
